@@ -25,8 +25,7 @@ from .diagram import (Curve, Diagram, Disconnected, H1Presentation, Region,
                       periodic_lattice, validate)
 from .exactalg import (LinearSolver, body_centroid, convex_hull,
                        gf2_rank_kernel, integer_kernel_basis,
-                       smith_normal_form, solve_integer_affine,
-                       unimodular_inverse)
+                       smith_normal_form, unimodular_inverse)
 from .floer import (ClassRow, DifferentialUndetermined, Domain, Exact,
                     Generator, LatticeNotZero, NoDomain, NonIntegerIndex,
                     NonUnique, SFHTable, SpinAssignment, Undetermined,
@@ -55,6 +54,6 @@ __all__ = [
     "h1_presentation", "homology", "integer_kernel_basis", "is_admissible",
     "is_nice", "knot_depth_bound", "main", "maslov_index", "parse_shd",
     "partition_spinc", "periodic_lattice", "relabel", "run_command",
-    "seminorm_y", "smith_normal_form", "solve_integer_affine", "stabilize",
+    "seminorm_y", "smith_normal_form", "stabilize",
     "support_points", "symmetrized_z", "unimodular_inverse", "validate",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import gcd
 
 from .exactalg import LinearSolver, integer_kernel_basis, smith_normal_form, \
@@ -108,6 +108,12 @@ class Diagram:
     def curves(self) -> tuple[Curve, ...]:
         return self.alpha_curves + self.beta_curves
 
+    @cached_property
+    def _scan(self) -> _Scan:
+        # cached_property writes the instance __dict__ directly, which a
+        # frozen dataclass allows; fields, equality and hash are unaffected.
+        return _Scan(self)
+
 
 def segment_start(curve: Curve, seg: Segment) -> str:
     s, e = curve.arc_ends(seg.arc)
@@ -120,11 +126,25 @@ def segment_end(curve: Curve, seg: Segment) -> str:
 
 
 # ---------------------------------------------------------------------------
-# one-pass scan: incidence tables plus violation list
+# the prepared context: incidence tables, violations, and lazy derived data
 
 
 class _Scan:
-    """Derived incidence data; collects violations instead of crashing."""
+    """The prepared context of one diagram.
+
+    The constructor makes one pass over the diagram and fills the incidence
+    tables (curves by name, the curves through each point, the regions on
+    each side of each arc, the corner quadrants, the components), collecting
+    violations instead of crashing.  The data derived from those tables is
+    computed on first use and then kept: the interior regions, the
+    factorized jump system (`jump`), the periodic lattice read off that same
+    factorization (`lattice`), and the first homology (`h1`).
+
+    A context is built lazily, once per Diagram object, and stored on that
+    object, so it lives exactly as long as the diagram does (the two refer
+    to each other; the garbage collector frees them together).  Equal but
+    distinct diagrams get contexts of their own.
+    """
 
     def __init__(self, d: Diagram):
         self.d = d
@@ -301,20 +321,60 @@ class _Scan:
                         stack.append(nb)
             self.components.append(comp)
 
-    @property
-    def interior(self) -> list[int]:
-        return [i for i, r in enumerate(self.d.regions)
-                if not r.touches_boundary]
+    @cached_property
+    def interior(self) -> tuple[int, ...]:
+        return tuple(i for i, r in enumerate(self.d.regions)
+                     if not r.touches_boundary)
 
+    def on_regions(self, vec) -> tuple[int, ...]:
+        """A vector over the interior regions, extended by 0 to all regions."""
+        full = [0] * len(self.d.regions)
+        for j, ri in enumerate(self.interior):
+            full[ri] = vec[j]
+        return tuple(full)
 
-@lru_cache(maxsize=None)
-def _scan(d: Diagram) -> _Scan:
-    return _Scan(d)
+    @cached_property
+    def jump(self) -> tuple[list[tuple[str, str, str]], LinearSolver]:
+        """Arc-jump constancy equations over interior regions, factorized.
+
+        One row per (curve, point); the row says that the multiplicity jump
+        across the arc before the point equals the jump across the arc after
+        it.  Returns (meta, solver) with meta[i] = (curve kind, curve name,
+        point).  An interior region has an arc on its boundary, so there are
+        rows whenever there are interior regions.
+        """
+        col = {ri: j for j, ri in enumerate(self.interior)}
+        rows: list[list[int]] = []
+        meta: list[tuple[str, str, str]] = []
+        for c in self.d.curves:
+            npts = len(c.points)
+            for k, p in enumerate(c.points):
+                row = [0] * len(col)
+                prev = (k - 1) % npts
+                for arc, sign in ((prev, 1), (k, -1)):
+                    sides = self.arc_side.get((c.name, arc), {})
+                    for fwd, coeff in ((True, 1), (False, -1)):
+                        ri = sides.get(fwd)
+                        if ri is not None and ri in col:
+                            row[col[ri]] += sign * coeff
+                rows.append(row)
+                meta.append((c.kind, c.name, p))
+        return meta, LinearSolver(rows)
+
+    @cached_property
+    def lattice(self) -> PeriodicLattice:
+        """The kernel of the jump system, from the jump solver's SNF."""
+        return PeriodicLattice(tuple(
+            self.on_regions(vec) for vec in self.jump[1].kernel_basis()))
+
+    @cached_property
+    def h1(self) -> H1Presentation:
+        return _h1_presentation(self)
 
 
 def diagram_index(d: Diagram) -> _Scan:
-    """Incidence tables for a diagram that must already be valid."""
-    s = _scan(d)
+    """Prepared context of a diagram that must already be valid."""
+    s = d._scan
     if s.violations:
         raise ValueError("invalid diagram: " + "; ".join(s.violations[:3]))
     return s
@@ -344,7 +404,7 @@ class ValidationReport:
 
 def validate(d: Diagram) -> ValidationReport:
     """Check every diagram invariant; the report lists each violation."""
-    s = _scan(d)
+    s = d._scan
     violations = list(s.violations)
 
     summaries = []
@@ -393,49 +453,8 @@ class PeriodicLattice:
         return len(self.basis)
 
 
-def _jump_system(s: _Scan):
-    """Arc-jump constancy equations over interior regions.
-
-    One row per (curve, point); the row says that the multiplicity jump
-    across the arc before the point equals the jump across the arc after it.
-    Returns (rows, meta) with meta[i] = (curve kind, curve name, point).
-    """
-    interior = s.interior
-    col = {ri: j for j, ri in enumerate(interior)}
-    rows: list[list[int]] = []
-    meta: list[tuple[str, str, str]] = []
-    for c in s.d.curves:
-        npts = len(c.points)
-        for k, p in enumerate(c.points):
-            row = [0] * len(interior)
-            prev = (k - 1) % npts
-            for arc, sign in ((prev, 1), (k, -1)):
-                sides = s.arc_side.get((c.name, arc), {})
-                for fwd, coeff in ((True, 1), (False, -1)):
-                    ri = sides.get(fwd)
-                    if ri is not None and ri in col:
-                        row[col[ri]] += sign * coeff
-            rows.append(row)
-            meta.append((c.kind, c.name, p))
-    return rows, meta
-
-
 def periodic_lattice(d: Diagram) -> PeriodicLattice:
-    s = diagram_index(d)
-    interior = s.interior
-    if not interior:
-        return PeriodicLattice(())
-    rows, _ = _jump_system(s)
-    kernel = integer_kernel_basis(rows) if rows else \
-        [tuple(int(i == j) for i in range(len(interior)))
-         for j in range(len(interior))]
-    basis = []
-    for vec in kernel:
-        full = [0] * len(d.regions)
-        for j, ri in enumerate(interior):
-            full[ri] = vec[j]
-        basis.append(tuple(full))
-    return PeriodicLattice(tuple(basis))
+    return diagram_index(d).lattice
 
 
 @dataclass(frozen=True)
@@ -605,9 +624,12 @@ class H1Presentation:
         return self.normalize(self.chain_coords(chain))
 
 
-@lru_cache(maxsize=None)
 def h1_presentation(d: Diagram) -> H1Presentation:
-    s = diagram_index(d)
+    return diagram_index(d).h1
+
+
+def _h1_presentation(s: _Scan) -> H1Presentation:
+    d = s.d
     if len(s.components) != 1:
         raise Disconnected(f"{len(s.components)} components")
 

@@ -259,32 +259,8 @@ def unimodular_inverse(a: list[list[int]] | tuple[tuple[int, ...], ...]) -> list
 
 
 def integer_kernel_basis(a: list[list[int]]) -> list[tuple[int, ...]]:
-    """Basis of the saturated lattice {v : A v = 0} over the integers.
-
-    The kernel is read off the column transform of the Smith normal form:
-    columns of V beyond the rank map to zero columns of D.
-    """
-    m, n = _shape(a)
-    if n == 0:
-        return []
-    snf = smith_normal_form(a)
-    basis = [tuple(snf.v[i][j] for i in range(n)) for j in range(snf.rank, n)]
-    for vec in basis:
-        if any(x != 0 for x in mat_vec(a, vec)):
-            raise AssertionError("kernel verification failed")
-    return basis
-
-
-class Infeasible:
-    """Value returned by solve_integer_affine when no integer solution exists."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "Infeasible"
-
-
-INFEASIBLE = Infeasible()
+    """Basis of the saturated lattice {v : A v = 0} over the integers."""
+    return LinearSolver(a).kernel_basis()
 
 
 class LinearSolver:
@@ -301,10 +277,19 @@ class LinearSolver:
         self.rank = self.snf.rank if self.snf else 0
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
+        """Basis of the saturated lattice {v : A v = 0}, verified.
+
+        The kernel is read off the column transform of the Smith normal
+        form: columns of V beyond the rank map to zero columns of D.
+        """
         if self.snf is None:
             return []
-        return [tuple(self.snf.v[i][j] for i in range(self.n))
-                for j in range(self.rank, self.n)]
+        basis = [tuple(self.snf.v[i][j] for i in range(self.n))
+                 for j in range(self.rank, self.n)]
+        for vec in basis:
+            if any(x != 0 for x in mat_vec(self.a, vec)):
+                raise AssertionError("kernel verification failed")
+        return basis
 
     def solve(self, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
         """One integer solution of A x = b, or None when infeasible."""
@@ -329,13 +314,6 @@ class LinearSolver:
         if mat_vec(self.a, x) != tuple(b):
             raise AssertionError("integer solve verification failed")
         return x
-
-
-def solve_integer_affine(a: list[list[int]],
-                         b: tuple[int, ...] | list[int]) -> tuple[int, ...] | Infeasible:
-    """Some integer solution of A x = b, or INFEASIBLE."""
-    x = LinearSolver(a).solve(b)
-    return INFEASIBLE if x is None else x
 
 
 # ---------------------------------------------------------------------------

@@ -16,19 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .diagram import (
     Diagram,
     PeriodicLattice,
-    _jump_system,
     diagram_index,
     euler_measure,
     h1_presentation,
     is_nice,
-    periodic_lattice,
 )
-from .exactalg import LinearSolver, gf2_rank_kernel
+from .exactalg import gf2_rank_kernel
 
 
 class LatticeNotZero(RuntimeError):
@@ -104,7 +101,6 @@ def _beta_points(s, g: Generator) -> dict[str, str]:
 def epsilon(d: Diagram, x: Generator, y: Generator) -> tuple[int, ...]:
     """Normalized H1 coset separating x from y (zero iff same class)."""
     s = diagram_index(d)
-    h1 = h1_presentation(d)
     xb, yb = _beta_points(s, x), _beta_points(s, y)
     chain: dict = {}
 
@@ -121,7 +117,7 @@ def epsilon(d: Diagram, x: Generator, y: Generator) -> tuple[int, ...]:
         add_path(c, x.point_on(c.name), y.point_on(c.name), 1)
     for c in d.beta_curves:
         add_path(c, xb[c.name], yb[c.name], -1)
-    return h1.reduce_chain(chain)
+    return s.h1.reduce_chain(chain)
 
 
 @dataclass(frozen=True)
@@ -167,14 +163,6 @@ class NonUnique:
     lattice: PeriodicLattice
 
 
-@lru_cache(maxsize=None)
-def _domain_context(d: Diagram):
-    s = diagram_index(d)
-    rows, meta = _jump_system(s)
-    solver = LinearSolver(rows) if rows and s.interior else None
-    return s, meta, solver
-
-
 def connecting_domain(d: Diagram, x: Generator,
                       y: Generator) -> Domain | NoDomain | NonUnique:
     """Solve for the domain from x to y over interior regions.
@@ -182,7 +170,8 @@ def connecting_domain(d: Diagram, x: Generator,
     The alpha part of its boundary runs from x to y, the beta part from
     y to x.  Unique when the periodic lattice is zero.
     """
-    s, meta, solver = _domain_context(d)
+    s = diagram_index(d)
+    meta, solver = s.jump
     xa, ya = dict(x.matching), dict(y.matching)
     xb, yb = _beta_points(s, x), _beta_points(s, y)
     rhs = []
@@ -192,20 +181,12 @@ def connecting_domain(d: Diagram, x: Generator,
         else:
             r = ((xb.get(cname) == p) - (yb.get(cname) == p))
         rhs.append(r)
-    if not s.interior:
-        return Domain((0,) * len(d.regions)) if not any(rhs) else NoDomain()
-    if solver is None:                  # no rows: every vector is periodic
-        return NonUnique(periodic_lattice(d))
     sol = solver.solve(rhs)
     if sol is None:
         return NoDomain()
-    lat = periodic_lattice(d)
-    if lat.rank:
-        return NonUnique(lat)
-    full = [0] * len(d.regions)
-    for j, ri in enumerate(s.interior):
-        full[ri] = sol[j]
-    return Domain(tuple(full))
+    if s.lattice.rank:
+        return NonUnique(s.lattice)
+    return Domain(s.on_regions(sol))
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +255,9 @@ def _class_members(assignments) -> list[list[int]]:
 def differential(d: Diagram, gens: tuple[Generator, ...],
                  assignments: tuple[SpinAssignment, ...]):
     """Exact matrix on nice diagrams, else ZeroCertificate or Undetermined."""
-    if periodic_lattice(d).rank:
-        raise LatticeNotZero("periodic domains make counting ambiguous")
     s = diagram_index(d)
+    if s.lattice.rank:
+        raise LatticeNotZero("periodic domains make counting ambiguous")
     classes = _class_members(assignments)
     if is_nice(d).nice:
         n = len(gens)

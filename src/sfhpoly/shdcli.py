@@ -9,7 +9,8 @@ starts a comment; every identifier must be declared before use.
 parse_shd and emit_shd are mutually inverse on canonical files.
 
 Subcommands: validate, compute, polytope, face, norm, depth, build
-tpqn, glue.  Exit codes: 0 success, 1 validation failure, 2 parse or
+tpqn, glue.  Exit codes: 0 success, 1 invalid or disconnected diagram
+or a query with no answer (empty support, zero rank), 2 parse, read or
 usage error, 3 computation obstructed (non-unique domains or an
 undetermined differential).
 """
@@ -25,9 +26,9 @@ from pathlib import Path
 
 from .builders import BadParams, SameDiagramCircle, build_tpqn
 from .builders import glue as glue_diagrams
-from .diagram import (Curve, Diagram, Region, Segment, UndecidedBeyondBound,
-                      h1_presentation, is_admissible, is_nice,
-                      periodic_lattice, validate)
+from .diagram import (Curve, Diagram, Disconnected, Region, Segment,
+                      UndecidedBeyondBound, h1_presentation, is_admissible,
+                      is_nice, periodic_lattice, validate)
 from .floer import DifferentialUndetermined, LatticeNotZero, homology
 from .polytope import (EmptySupport, build_polytope, depth_upper_bound,
                        face_query, seminorm_y, support_points, symmetrized_z)
@@ -256,7 +257,12 @@ def _report(data: dict, ns, out) -> None:
 
 
 def _load(path: str) -> Diagram:
-    return parse_shd(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as ex:
+        raise ParseError(f"{path} is not UTF-8 text: {ex.reason} "
+                         f"at byte {ex.start}", 0, 0) from None
+    return parse_shd(text)
 
 
 def _header(command: str) -> dict:
@@ -365,19 +371,26 @@ def _parse_class(arg: str, ambient: int) -> tuple[Fraction, ...]:
 
 
 def _with_polytope(ns, out):
+    """(support, polytope), or None after reporting the failure (exit 1)."""
     d = _validated(ns.file, ns, out)
     if d is None:
         return None
-    table = homology(d)
-    supp = support_points(table)
-    return table, supp, build_polytope(supp)
+    try:
+        supp = support_points(homology(d))
+    except EmptySupport as ex:
+        data = _header(ns.cmd)
+        data["ok"] = False
+        data["error"] = f"no polytope: {ex}"
+        _report(data, ns, out)
+        return None
+    return supp, build_polytope(supp)
 
 
 def _cmd_face(ns, out) -> int:
     loaded = _with_polytope(ns, out)
     if loaded is None:
         return 1
-    _, supp, poly = loaded
+    supp, poly = loaded
     alpha = _parse_class(ns.klass, supp.ambient_dim)
     res = face_query(poly, supp, alpha)
     data = _header("face")
@@ -394,7 +407,7 @@ def _cmd_norm(ns, out) -> int:
     loaded = _with_polytope(ns, out)
     if loaded is None:
         return 1
-    _, supp, poly = loaded
+    supp, poly = loaded
     alpha = _parse_class(ns.klass, supp.ambient_dim)
     data = _header("norm")
     data["ok"] = True
@@ -514,9 +527,15 @@ def run_command(argv: list[str], stdout=None) -> int:
     except FileNotFoundError as ex:
         out.write(f"no such file: {ex.filename}\n")
         return 2
+    except IsADirectoryError as ex:
+        out.write(f"is a directory: {ex.filename}\n")
+        return 2
     except BadParams as ex:
         out.write(f"bad parameters: {ex}\n")
         return 2
+    except Disconnected as ex:
+        out.write(f"disconnected diagram: {ex}\n")
+        return 1
     except (DifferentialUndetermined, LatticeNotZero) as ex:
         out.write(f"computation obstructed: "
                   f"{type(ex).__name__}: {ex}\n")

@@ -29,6 +29,7 @@ from sfhpoly.diagram import (
     periodic_lattice,
     validate,
 )
+from sfhpoly.exactalg import smith_normal_form
 from conftest import seg, torus_grid
 
 
@@ -154,6 +155,34 @@ def test_lattice_vanishes_on_boundary_regions(annulus_isotopic, annulus_slack,
         for vec in lat.basis:
             for x, r in zip(vec, d.regions):
                 assert x == 0 or not r.touches_boundary
+
+
+def test_lattice_from_jump_solver(annulus_isotopic, annulus_slack, grid_diag,
+                                  grid_adjacent, grid_rect):
+    for d in (annulus_isotopic, annulus_slack, grid_diag, grid_adjacent,
+              grid_rect):
+        s = diagram_index(d)
+        _, solver = s.jump
+        lat = s.lattice
+        assert lat is periodic_lattice(d)
+        assert lat.rank == len(s.interior) - smith_normal_form(solver.a).rank
+        for vec in lat.basis:
+            assert all(vec[ri] == 0 for ri, r in enumerate(d.regions)
+                       if r.touches_boundary)
+            assert all(sum(c * vec[ri] for c, ri in zip(row, s.interior))
+                       == 0 for row in solver.a)
+            # the boundary of a periodic domain jumps by the same amount
+            # across every arc of a curve: it is a sum of whole curves
+            jump = {}
+            for mult, r in zip(vec, d.regions):
+                for cyc in r.arc_cycles:
+                    for sg in cyc:
+                        key = (sg.curve, sg.arc)
+                        jump[key] = jump.get(key, 0) + \
+                            (mult if sg.forward else -mult)
+            for c in d.curves:
+                assert len({jump.get((c.name, k), 0)
+                            for k in range(len(c.points))}) == 1
 
 
 def test_admissible_rank0(pants_bigon, grid_rect):

@@ -20,9 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sfhpoly.exactalg import (
-    INFEASIBLE,
     EmptyInput,
-    Infeasible,
     LinearSolver,
     body_centroid,
     convex_hull,
@@ -32,7 +30,6 @@ from sfhpoly.exactalg import (
     mat_mul,
     mat_vec,
     smith_normal_form,
-    solve_integer_affine,
     unimodular_inverse,
 )
 
@@ -161,17 +158,15 @@ def test_kernel_saturated(a):
 
 
 def test_solve_identity():
-    assert solve_integer_affine([[1, 0], [0, 1]], (3, -1)) == (3, -1)
+    assert LinearSolver([[1, 0], [0, 1]]).solve((3, -1)) == (3, -1)
 
 
 def test_solve_parity_infeasible():
-    res = solve_integer_affine([[2]], (1,))
-    assert isinstance(res, Infeasible)
-    assert res is INFEASIBLE
+    assert LinearSolver([[2]]).solve((1,)) is None
 
 
 def test_solve_back_substitution():
-    assert solve_integer_affine([[1, 1], [0, 2]], (3, 4)) == (1, 2)
+    assert LinearSolver([[1, 1], [0, 2]]).solve((3, 4)) == (1, 2)
 
 
 @settings(max_examples=60, deadline=None)

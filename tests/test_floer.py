@@ -10,10 +10,14 @@ connecting-domain answer against the raw region cycles.
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import pytest
 
+from sfhpoly import diagram, exactalg
+from sfhpoly.builders import build_tpqn
 from sfhpoly.diagram import Curve, Diagram, Region, diagram_index
 from sfhpoly.floer import (
     DifferentialUndetermined,
@@ -369,3 +373,35 @@ def test_homology_stabilize_into_boundary_region(grid_rect):
 def test_homology_lattice_guard(annulus_isotopic):
     with pytest.raises(LatticeNotZero):
         homology(annulus_isotopic)
+
+
+# ---------------------------------------------------------------------------
+# the prepared context
+
+
+def test_context_dies_with_its_diagram():
+    d = build_tpqn(1, 0, 6)
+    homology(d)
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
+
+
+def test_smith_forms_per_diagram_do_not_grow(monkeypatch):
+    calls = []
+    real = exactalg.smith_normal_form
+
+    def counted(a):
+        calls.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(exactalg, "smith_normal_form", counted)
+    monkeypatch.setattr(diagram, "smith_normal_form", counted)
+    counts = []
+    for n in (8, 14):
+        d = build_tpqn(1, 0, n)
+        calls.clear()
+        homology(d)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import torus_grid
 from sfhpoly.builders import (build_base, build_elementary_piece, build_tpqn,
-                              stabilize)
+                              relabel, stabilize)
+from sfhpoly.diagram import Diagram
 from sfhpoly.shdcli import (DuplicateIdentifier, ParseError,
                             UndeclaredIdentifier, emit_shd, parse_shd,
                             run_command)
@@ -131,6 +132,24 @@ def test_exit_codes(tmp_path):
     rc, text = run(["compute", str(garbage)])
     assert rc == 2 and "parse error" in text
     assert run(["compute", str(tmp_path / "missing.shd")])[0] == 2
+    rc, text = run(["compute", str(tmp_path)])
+    assert rc == 2 and text.startswith("is a directory")
+    latin = tmp_path / "latin.shd"
+    latin.write_bytes(ELEMENTARY_TEXT.replace("\u2202", "\xb6")
+                      .encode("latin-1"))
+    rc, text = run(["validate", str(latin)])
+    assert rc == 2 and "not UTF-8" in text and text.count("\n") == 1
+
+    one, two = relabel(build_tpqn(1, 0, 4), "p"), \
+        relabel(build_tpqn(1, 0, 4), "q")
+    apart = tmp_path / "apart.shd"
+    apart.write_text(emit_shd(Diagram(
+        one.alpha_curves + two.alpha_curves, one.beta_curves + two.beta_curves,
+        one.boundary_circles + two.boundary_circles,
+        one.regions + two.regions)))
+    for cmd in ("validate", "compute"):
+        rc, text = run([cmd, str(apart)])
+        assert rc == 1 and text == "disconnected diagram: 2 components\n"
 
     undetermined = tmp_path / "und.shd"
     undetermined.write_text(
@@ -252,6 +271,18 @@ def test_polytope_report(tmp_path):
     data = json.loads(text)
     assert rc == 1
     assert data["ok"] is False and data["total_rank"] == 0
+
+
+@pytest.mark.parametrize("cmd", ["face", "norm"])
+def test_empty_support_query(tmp_path, pants_bigon, cmd):
+    f = tmp_path / "pants.shd"
+    f.write_text(emit_shd(pants_bigon))
+    rc, text = run(["--json", cmd, str(f), "--class", "1"])
+    data = json.loads(text)
+    assert rc == 1
+    assert data["ok"] is False and "no polytope" in data["error"]
+    rc, text = run([cmd, str(f), "--class", "1"])
+    assert rc == 1 and "error: no polytope" in text
 
 
 def test_json_flag_position(tmp_path):
