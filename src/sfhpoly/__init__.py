@@ -36,8 +36,20 @@ from .polytope import (EmptySupport, FaceResult, SfhPolytope, Support,
                        ZeroRank, build_polytope, depth_upper_bound,
                        face_query, knot_depth_bound, seminorm_y,
                        support_points, symmetrized_z)
-from .shdcli import (DuplicateIdentifier, ParseError, UndeclaredIdentifier,
-                     emit_shd, main, parse_shd, run_command)
+
+# shdcli is loaded on first use (PEP 562), so that `python -m sfhpoly.shdcli`
+# does not find the module already imported by the package.
+_SHDCLI_NAMES = frozenset({"DuplicateIdentifier", "ParseError",
+                           "UndeclaredIdentifier", "emit_shd", "main",
+                           "parse_shd", "run_command"})
+
+
+def __getattr__(name: str):
+    if name in _SHDCLI_NAMES:
+        from . import shdcli
+        return getattr(shdcli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BadParams", "ClassRow", "Curve", "Diagram", "DifferentialUndetermined",

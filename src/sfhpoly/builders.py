@@ -24,6 +24,14 @@ class SameDiagramCircle(ValueError):
     """Gluing a diagram to itself is unsupported."""
 
 
+class InvalidGlue(ValueError):
+    """The glued diagram fails validation; carries the violations."""
+
+    def __init__(self, violations: tuple[str, ...]):
+        super().__init__("glued diagram is invalid: " + "; ".join(violations))
+        self.violations = violations
+
+
 def build_base(p: int, q: int) -> Diagram:
     """Twice-punctured torus: alpha meets beta in p points y0..y{p-1}.
 
@@ -107,7 +115,8 @@ def glue(d1: Diagram, c: str, d2: Diagram, d: str) -> Diagram:
 
     The two host regions merge (cycles pooled minus the erased circles,
     genera added); everything else is carried over.  Identifiers of d2
-    are prefixed with x_ as needed to avoid collisions.
+    are prefixed with x_ as needed to avoid collisions.  Raises
+    InvalidGlue when the glued diagram fails validation.
     """
     if d1 is d2:
         raise SameDiagramCircle("gluing a diagram to itself is unsupported")
@@ -133,7 +142,8 @@ def glue(d1: Diagram, c: str, d2: Diagram, d: str) -> Diagram:
                   + tuple(s for s in d2.boundary_circles if s != d),
                   regions)
     report = validate(out)
-    assert report.ok, report.violations
+    if not report.ok:
+        raise InvalidGlue(tuple(report.violations))
     return out
 
 

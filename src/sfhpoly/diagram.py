@@ -535,7 +535,9 @@ def is_admissible(d: Diagram, max_rank: int = 6) -> AdmissibilityResult:
             for x in witness:
                 denom = denom * x.denominator // gcd(denom, x.denominator)
             out = tuple(int(x * denom) for x in witness)
-            assert all(x >= 0 for x in out) and any(out)
+            if not (all(x >= 0 for x in out) and any(out)):
+                raise AssertionError("admissibility witness is not a "
+                                     "non-zero non-negative domain")
             return AdmissibilityResult(False, out)
     return AdmissibilityResult(True, None)
 
@@ -607,17 +609,17 @@ class H1Presentation:
         """Canonical representative of v's coset modulo the relations."""
         if self.generator_count == 0:
             return ()
-        w = list(vec_mat(v, [list(r) for r in self._v]))
+        w = list(vec_mat(v, self._v))
         for i, di in enumerate(self._diag_pad):
             if di > 0:
                 w[i] %= di
-        return vec_mat(w, [list(r) for r in self._vinv])
+        return vec_mat(w, self._vinv)
 
     def free_part(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Coordinates of v in the free quotient Z^b1 (torsion dropped)."""
         if self.generator_count == 0:
             return ()
-        w = vec_mat(v, [list(r) for r in self._v])
+        w = vec_mat(v, self._v)
         return tuple(w[i] for i in self._free_idx)
 
     def reduce_chain(self, chain: dict) -> tuple[int, ...]:

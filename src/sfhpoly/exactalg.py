@@ -1,13 +1,21 @@
 """Exact integer and rational linear algebra with small convex hulls.
 
-Everything runs over Python ints and fractions.Fraction; no floats.  The
-matrices that show up downstream (curve-graph boundary maps, region
-incidence systems, first-homology presentations) have at most a few hundred
-entries, so every routine favours verifiability over speed: Smith normal
-forms are re-multiplied before they are returned, integer solves are checked
-against their defining equations, and hulls are found by facet enumeration
-in affinely reduced coordinates.
+Everything runs over Python ints and fractions.Fraction; no floats.  One
+fraction-free elimination routine, `_bareiss`, is the core under every
+determinant, rank and inverse: Bareiss's integer-preserving Gaussian
+elimination (Bareiss 1968), optionally clearing above the pivot too
+(Gauss-Jordan).  Rational matrices are first scaled row by row to integers
+and the scales are divided back out of the result.  That keeps checking
+cheap, so every result that feeds the calculator is still checked:
 
+* a Smith normal form is re-multiplied (U A V = D), its diagonal shape and
+  divisibility chain are checked, and |det U| = |det V| = 1 is confirmed;
+* a unimodular inverse is refused unless the determinant is +-1;
+* an integer solve is substituted back into A x = b, and every kernel
+  vector into A v = 0 (over the integers and over GF(2));
+* every input point is checked against every facet of its hull.
+
+Hulls are found by facet enumeration in affinely reduced coordinates.
 Matrices are rectangular lists of rows; vectors are tuples.
 """
 
@@ -16,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -38,20 +48,28 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _row_times(v, a, n: int) -> list:
+    """Row vector v times the matrix a with n columns, skipping zeros of v."""
+    acc = [0] * n
+    for x, row in zip(v, a):
+        if x:
+            acc = [s + x * y for s, y in zip(acc, row)]
+    return acc
+
+
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     ma, na = _shape(a)
     mb, nb = _shape(b)
     if na != mb:
         raise ValueError(f"cannot multiply {ma}x{na} by {mb}x{nb}")
-    return [[sum(a[i][k] * b[k][j] for k in range(na)) for j in range(nb)]
-            for i in range(ma)]
+    return [_row_times(row, b, nb) for row in a]
 
 
 def mat_vec(a: list[list[int]], v: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     m, n = _shape(a)
     if len(v) != n:
         raise ValueError(f"vector length {len(v)} does not match {m}x{n}")
-    return tuple(sum(a[i][j] * v[j] for j in range(n)) for i in range(m))
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def vec_mat(v: tuple[int, ...] | list[int], a: list[list[int]]) -> tuple[int, ...]:
@@ -59,49 +77,104 @@ def vec_mat(v: tuple[int, ...] | list[int], a: list[list[int]]) -> tuple[int, ..
     m, n = _shape(a)
     if len(v) != m:
         raise ValueError(f"vector length {len(v)} does not match {m}x{n}")
-    return tuple(sum(v[i] * a[i][j] for i in range(m)) for j in range(n))
+    return tuple(_row_times(v, a, n))
+
+
+# ---------------------------------------------------------------------------
+# fraction-free elimination
+
+
+def _bareiss(w: list[list[int]], ncols: int,
+             jordan: bool = False) -> tuple[list[int], int, int]:
+    """Fraction-free elimination of the integer rows w, in place.
+
+    Pivots are sought in the first ncols columns.  Each step with pivot p,
+    after the pivot prev of the step before, replaces a row by
+    (p * row - row[c] * pivot row) / prev.  After k steps every entry is a
+    (k+1)-minor of the input (Sylvester's identity), so the division is
+    exact and no entry grows beyond a minor.  With jordan the rows above
+    the pivot are cleared too: [A | I] then ends as [p I | p A^-1], p the
+    last pivot.  Entries left of the pivot column are not rewritten once
+    they are no longer read.  Returns (pivot columns, last pivot, sign of
+    the row permutation); for square A of full rank det A = sign * last.
+    """
+    m = len(w)
+    pivots: list[int] = []
+    prev, sign, r = 1, 1, 0
+    for c in range(ncols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if w[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            w[r], w[piv] = w[piv], w[r]
+            sign = -sign
+        top = w[r][c:]
+        p = top[0]
+        for i in range(0 if jordan else r + 1, m):
+            if i == r:
+                continue
+            row = w[i]
+            f = row[c]
+            if f:
+                row[c:] = [(p * x - f * y) // prev
+                           for x, y in zip(row[c:], top)]
+            elif p != prev:
+                row[c:] = [p * x // prev for x in row[c:]]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, prev, sign
+
+
+def _integer_rows(a) -> tuple[list[list[int]], list[int]]:
+    """Each row of a rational matrix times the lcm of its denominators.
+
+    Returns (integer rows, scales); ints pass through with scale 1.
+    """
+    rows, scales = [], []
+    for row in a:
+        s = lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (s // x.denominator) for x in row]
+                    if s > 1 else [x.numerator for x in row])
+        scales.append(s)
+    return rows, scales
 
 
 def exact_det(a: list[list[int]] | list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
+    """Determinant by fraction-free elimination of the row-scaled matrix."""
     m, n = _shape(a)
     if m != n:
         raise ValueError("determinant of a non-square matrix")
-    w = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if w[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            w[c], w[piv] = w[piv], w[c]
-            det = -det
-        det *= w[c][c]
-        inv = 1 / w[c][c]
-        for r in range(c + 1, n):
-            if w[r][c] != 0:
-                f = w[r][c] * inv
-                w[r] = [x - f * y for x, y in zip(w[r], w[c])]
-    return det
+    rows, scales = _integer_rows(a)
+    pivots, last, sign = _bareiss(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * last, prod(scales))
 
 
 def _frac_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a list of Fraction row vectors (destructive on a copy)."""
-    w = [row[:] for row in rows]
-    rank = 0
-    cols = len(w[0]) if w else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(w)) if w[r][c] != 0), None)
-        if piv is None:
-            continue
-        w[rank], w[piv] = w[piv], w[rank]
-        inv = 1 / w[rank][c]
-        for r in range(len(w)):
-            if r != rank and w[r][c] != 0:
-                f = w[r][c] * inv
-                w[r] = [x - f * y for x, y in zip(w[r], w[rank])]
-        rank += 1
-    return rank
+    """Rank of a list of rational row vectors."""
+    w, _ = _integer_rows(rows)
+    return len(_bareiss(w, len(w[0]) if w else 0)[0])
+
+
+def _inverse(a) -> tuple[list[list[int]], int]:
+    """(X, p) with integer X and a^-1 = X / p, by Gauss-Jordan on [A | I].
+
+    A is a scaled row by row to integers; column j of the inverse of the
+    scaled matrix is multiplied back by the scale of row j.
+    """
+    rows, scales = _integer_rows(a)
+    m, n = _shape(rows)
+    if m != n:
+        raise ValueError("inverse of a non-square matrix")
+    w = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, p, _ = _bareiss(w, n, jordan=True)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [[x * s for x, s in zip(row[n:], scales)] for row in w], p
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +224,15 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
 
     t = 0
     while t < min(m, n):
-        pivot = None
+        pivot, best = None, 0
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                if d[i][j] != 0 and (pivot is None
-                                     or abs(d[i][j]) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                x = abs(row[j])
+                if x and (pivot is None or x < best):
+                    pivot, best = (i, j), x
+            if best == 1:           # no entry is smaller than a unit
+                break
         if pivot is None:
             break
         if pivot[0] != t:
@@ -181,10 +257,12 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
             continue
 
         offender = None
-        for i in range(t + 1, m):
-            if any(d[i][j] % d[t][t] != 0 for j in range(t + 1, n)):
-                offender = i
-                break
+        p = d[t][t]
+        if abs(p) != 1:             # a unit divides everything
+            for i in range(t + 1, m):
+                if any(x % p for x in d[i][t + 1:]):
+                    offender = i
+                    break
         if offender is not None:
             row_sub(t, offender, -1)
             continue
@@ -205,11 +283,9 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
 
 def _verify_snf(a: list[list[int]], res: SNFResult) -> None:
     m, n = _shape(a)
-    u = [list(r) for r in res.u]
-    v = [list(r) for r in res.v]
-    d = [list(r) for r in res.d]
+    d = res.d
     if m and n:
-        if mat_mul(mat_mul(u, [list(r) for r in a]), v) != d:
+        if mat_mul(mat_mul(res.u, a), res.v) != [list(r) for r in d]:
             raise AssertionError("SNF verification failed: U*A*V != D")
     for i in range(m):
         for j in range(n):
@@ -221,37 +297,21 @@ def _verify_snf(a: list[list[int]], res: SNFResult) -> None:
             raise AssertionError("SNF verification failed: zero before nonzero")
         if x != 0 and y % x != 0:
             raise AssertionError("SNF verification failed: divisibility chain")
-    if m and abs(exact_det(u)) != 1:
+    if m and abs(exact_det(res.u)) != 1:
         raise AssertionError("SNF verification failed: U not unimodular")
-    if n and abs(exact_det(v)) != 1:
+    if n and abs(exact_det(res.v)) != 1:
         raise AssertionError("SNF verification failed: V not unimodular")
 
 
 def unimodular_inverse(a: list[list[int]] | tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix (integer entries)."""
-    rows = [list(r) for r in a]
-    m, n = _shape(rows)
-    if m != n:
-        raise ValueError("inverse of a non-square matrix")
-    w = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if w[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        w[c], w[piv] = w[piv], w[c]
-        inv = 1 / w[c][c]
-        w[c] = [x * inv for x in w[c]]
-        for r in range(n):
-            if r != c and w[r][c] != 0:
-                f = w[r][c]
-                w[r] = [x - f * y for x, y in zip(w[r], w[c])]
-    out = [[w[i][n + j] for j in range(n)] for i in range(n)]
-    for row in out:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
+    """Exact inverse of a unimodular integer matrix (integer entries).
+
+    Raises ValueError unless the matrix is square with determinant +-1.
+    """
+    x, p = _inverse(a)
+    if abs(p) != 1:
+        raise ValueError("matrix is not unimodular")
+    return [[e * p for e in row] for row in x]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +357,7 @@ class LinearSolver:
             raise ValueError("right-hand side has the wrong length")
         if self.snf is None:
             return () if all(x == 0 for x in b) else None
-        c = mat_vec([list(r) for r in self.snf.u], b)
+        c = mat_vec(self.snf.u, b)
         diag = self.snf.diagonal
         z = [0] * self.n
         for i in range(self.m):
@@ -310,7 +370,7 @@ class LinearSolver:
                     return None
                 if i < self.n:
                     z[i] = c[i] // di
-        x = mat_vec([list(r) for r in self.snf.v], z)
+        x = mat_vec(self.snf.v, z)
         if mat_vec(self.a, x) != tuple(b):
             raise AssertionError("integer solve verification failed")
         return x
@@ -438,21 +498,8 @@ def _affine_reduce(points: list[tuple[Fraction, ...]]):
 
 
 def _frac_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    w = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if w[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        w[c], w[piv] = w[piv], w[c]
-        inv = 1 / w[c][c]
-        w[c] = [x * inv for x in w[c]]
-        for r in range(n):
-            if r != c and w[r][c] != 0:
-                f = w[r][c]
-                w[r] = [x - f * y for x, y in zip(w[r], w[c])]
-    return [[w[i][n + j] for j in range(n)] for i in range(n)]
+    x, p = _inverse(a)
+    return [[Fraction(e, p) for e in row] for row in x]
 
 
 def _primitive(normal: list[Fraction], offset: Fraction):
@@ -514,8 +561,7 @@ def _hull_reduced(coords: list[tuple[Fraction, ...]], dim: int):
     facet_list = sorted(facets)
     verts = []
     for i, c in enumerate(coords):
-        active = [list(map(Fraction, n))
-                  for n, off in facet_list
+        active = [n for n, off in facet_list
                   if sum(a * x for a, x in zip(n, c)) == off]
         if active and _frac_rank(active) == dim:
             verts.append(i)

@@ -269,7 +269,8 @@ def differential(d: Diagram, gens: tuple[Generator, ...],
                                                            gens[j]) <= 2:
                         continue
                     dom = connecting_domain(d, gens[i], gens[j])
-                    assert isinstance(dom, Domain)
+                    if not isinstance(dom, Domain):
+                        raise AssertionError("no unique domain within a class")
                     if any(mult not in (0, 1)
                            for mult in dom.multiplicities):
                         continue
@@ -358,16 +359,19 @@ def homology(d: Diagram) -> SFHTable:
             rank = 0
         count = len(members)
         dim = count - 2 * rank
-        assert dim >= 0
+        if dim < 0:
+            raise AssertionError("differential rank exceeds half the class")
         first = members[0]
         grads = []
         for g in members:
             dom = connecting_domain(d, gens[first], gens[g])
-            assert isinstance(dom, Domain)
+            if not isinstance(dom, Domain):
+                raise AssertionError("no unique domain within a class")
             grads.append(-maslov_index(d, dom, gens[first], gens[g]))
         rep = assignments[first].coset_rep
         rows.append(ClassRow(cid, tuple(members), count, rank, dim, rep,
                              h1.free_part(rep), tuple(grads)))
     table = SFHTable(gens, assignments, tuple(rows), h1.b1, h1.torsion)
-    assert sum(c.gen_count for c in table.classes) == len(gens)
+    if sum(c.gen_count for c in table.classes) != len(gens):
+        raise AssertionError("classes do not partition the generators")
     return table

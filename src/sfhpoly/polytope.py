@@ -94,8 +94,10 @@ def build_polytope(s: Support) -> SfhPolytope:
     raw = convex_hull([pt for pt, _ in s.points])
     center = body_centroid(raw)
     centered = _translate(raw, tuple(-c for c in center))
-    assert len(raw.vertices) <= s.total_rank
-    assert all(x == 0 for x in body_centroid(centered))
+    if len(raw.vertices) > s.total_rank:
+        raise AssertionError("more hull vertices than supported generators")
+    if any(x != 0 for x in body_centroid(centered)):
+        raise AssertionError("centred polytope has a non-zero centroid")
     return SfhPolytope(raw, centered, s.ambient_dim, s.total_rank)
 
 

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .builders import BadParams, SameDiagramCircle, build_tpqn
+from .builders import BadParams, InvalidGlue, SameDiagramCircle, build_tpqn
 from .builders import glue as glue_diagrams
 from .diagram import (Curve, Diagram, Disconnected, Region, Segment,
                       UndecidedBeyondBound, h1_presentation, is_admissible,
@@ -454,6 +454,9 @@ def _cmd_glue(ns, out) -> int:
     d2 = _load(ns.file2)
     try:
         glued = glue_diagrams(d1, ns.circle1, d2, ns.circle2)
+    except InvalidGlue as ex:
+        out.write(f"invalid diagram: {ex.violations[0]}\n")
+        return 1
     except (SameDiagramCircle, ValueError) as ex:
         out.write(f"glue error: {ex}\n")
         return 2

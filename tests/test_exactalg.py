@@ -1,8 +1,10 @@
 """Exact linear algebra and hull tests, checked against independent oracles.
 
 Oracles used here:
-  * Smith normal form  -> determinantal divisors (gcd of all k x k minors);
-    the product d_1 ... d_k of invariant factors must equal the k-th divisor.
+  * Smith normal form  -> determinantal divisors (gcd of all k x k minors,
+    each minor taken by sympy); the product d_1 ... d_k of invariant factors
+    must equal the k-th divisor.  Also sympy's own Smith normal form.
+  * determinants, ranks and inverses -> sympy's exact Matrix arithmetic.
   * GF(2) kernels      -> naive list-of-lists row reduction.
   * convex hulls       -> scipy's Qhull on integer points in general position,
     plus the facet/extremality definitions directly.
@@ -17,11 +19,15 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from sfhpoly.exactalg import (
     EmptyInput,
     LinearSolver,
+    _frac_inverse,
+    _frac_rank,
     body_centroid,
     convex_hull,
     exact_det,
@@ -45,8 +51,19 @@ def minor_gcd(a, k):
     for rows in combinations(range(m), k):
         for cols in combinations(range(n), k):
             sub = [[a[i][j] for j in cols] for i in rows]
-            g = gcd(g, abs(int(exact_det(sub))))
+            g = gcd(g, abs(int(sympy.Matrix(sub).det())))
     return g
+
+
+def to_sympy(a):
+    """Exact sympy matrix of int or Fraction rows."""
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                          for x in row] for row in a])
+
+
+def as_fraction(x) -> Fraction:
+    x = sympy.Rational(x)
+    return Fraction(int(x.p), int(x.q))
 
 
 def gf2_rank_naive(a):
@@ -75,6 +92,47 @@ matrices = st.integers(1, 5).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(-9, 9), min_size=n, max_size=n),
             min_size=m, max_size=m)))
+
+# small entries make singular matrices common, large ones make big minors
+entries = st.one_of(st.integers(-2, 2), st.integers(-99, 99))
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def square(size, elements):
+    return st.integers(1, size).flatmap(
+        lambda n: st.lists(st.lists(elements, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+
+
+@st.composite
+def low_rank(draw):
+    """An m x n rational matrix L R with inner size k, so rank <= k."""
+    m, n, k = draw(st.integers(1, 6)), draw(st.integers(1, 6)), \
+        draw(st.integers(0, 4))
+    left = draw(st.lists(st.lists(rationals, min_size=k, max_size=k),
+                         min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
+                          min_size=k, max_size=k))
+    return [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
+             for j in range(n)] for i in range(m)]
+
+
+@st.composite
+def unimodular(draw):
+    """A product of elementary integer row operations on the identity."""
+    n = draw(st.integers(1, 6))
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(("add", "swap", "negate")))
+        if op == "add" and i != j:
+            q = draw(st.integers(-3, 3))
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+        elif op == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif op == "negate":
+            m[i] = [-x for x in m[i]]
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +187,67 @@ def test_unimodular_inverse_roundtrip():
     assert mat_mul(m, inv) == [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
         unimodular_inverse([[2, 0], [0, 1]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices)
+def test_snf_diagonal_matches_sympy(a):
+    theirs = sympy_snf(sympy.Matrix(a), domain=sympy.ZZ)
+    mine = smith_normal_form(a).diagonal
+    assert [abs(x) for x in mine] == \
+        [abs(int(theirs[i, i])) for i in range(len(mine))]
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination core, against sympy
+
+
+@settings(max_examples=80, deadline=None)
+@given(square(8, entries))
+def test_det_matches_sympy_on_integers(a):
+    assert exact_det(a) == as_fraction(sympy.Matrix(a).det())
+
+
+@settings(max_examples=80, deadline=None)
+@given(square(4, rationals))
+def test_det_matches_sympy_on_fractions(a):
+    assert exact_det(a) == as_fraction(to_sympy(a).det())
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank())
+def test_rank_matches_sympy(a):
+    assert _frac_rank(a) == to_sympy(a).rank()
+
+
+@settings(max_examples=60, deadline=None)
+@given(unimodular(), st.data())
+def test_unimodular_inverse_of_elementary_products(m, data):
+    n = len(m)
+    inv = unimodular_inverse(m)
+    assert all(type(x) is int for row in inv for x in row)
+    assert to_sympy(m) * to_sympy(inv) == sympy.eye(n)
+    i = data.draw(st.integers(0, n - 1))
+    doubled = [row if k != i else [2 * x for x in row]
+               for k, row in enumerate(m)]
+    with pytest.raises(ValueError):
+        unimodular_inverse(doubled)
+    if n > 1:
+        j = (i + 1) % n
+        repeated = [row if k != i else m[j] for k, row in enumerate(m)]
+        with pytest.raises(ValueError):
+            unimodular_inverse(repeated)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square(4, rationals))
+def test_frac_inverse_matches_sympy(a):
+    if to_sympy(a).det() == 0:
+        with pytest.raises(ValueError):
+            _frac_inverse(a)
+        return
+    inv = _frac_inverse(a)
+    assert to_sympy(a) * to_sympy(inv) == sympy.eye(len(a))
 
 
 # ---------------------------------------------------------------------------

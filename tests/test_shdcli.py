@@ -2,12 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import torus_grid
-from sfhpoly.builders import (build_base, build_elementary_piece, build_tpqn,
-                              relabel, stabilize)
+from sfhpoly.builders import (InvalidGlue, build_base, build_elementary_piece,
+                              build_tpqn, glue, relabel, stabilize)
 from sfhpoly.diagram import Diagram
 from sfhpoly.shdcli import (DuplicateIdentifier, ParseError,
                             UndeclaredIdentifier, emit_shd, parse_shd,
@@ -126,6 +130,9 @@ def test_exit_codes(tmp_path):
     rc, text = run(["validate", str(bad)])
     assert rc == 1 and "ok: false" in text
     assert run(["compute", str(bad)])[0] == 1
+    rc, text = run(["glue", str(bad), "s0", str(ok), "e0_s2"])
+    assert rc == 1 and text.startswith("invalid diagram: ") \
+        and text.count("\n") == 1
 
     garbage = tmp_path / "garbage.shd"
     garbage.write_text("what is this\n")
@@ -165,6 +172,30 @@ def test_exit_codes(tmp_path):
     assert run(["face", str(ok)])[0] == 2        # missing --class
     assert run(["face", str(ok), "--class", "1,2"])[0] == 2
     assert run(["build", "tpqn", "--p", "4", "--q", "2", "--n", "4"])[0] == 2
+
+
+def test_glue_refuses_an_invalid_result():
+    bad = parse_shd(INVALID_TEXT)
+    with pytest.raises(InvalidGlue) as info:
+        glue(bad, "s0", build_tpqn(1, 0, 4), "e0_s2")
+    assert isinstance(info.value, ValueError)
+    assert info.value.violations
+    assert all(isinstance(v, str) for v in info.value.violations)
+
+
+def test_module_entry_point_runs_without_warning(tmp_path):
+    f = tmp_path / "t4.shd"
+    f.write_text(emit_shd(build_tpqn(3, 1, 4)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "sfhpoly.shdcli", "--json", "validate", str(f)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
 
 
 def test_build_compute_pipeline(tmp_path):
