@@ -15,16 +15,19 @@ cheap, so every result that feeds the calculator is still checked:
   vector into A v = 0 (over the integers and over GF(2));
 * every input point is checked against every facet of its hull.
 
-Hulls are found by facet enumeration in affinely reduced coordinates.
-Matrices are rectangular lists of rows; vectors are tuples.
+Hulls and centroids share one placing (beneath-beyond) triangulation in
+affinely reduced coordinates: its boundary simplices give the facets and its
+full-dimensional simplices the centroid.  Matrices are rectangular lists
+of rows; vectors are tuples.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 
 
@@ -472,18 +475,21 @@ def _as_fraction_points(points) -> list[tuple[Fraction, ...]]:
 def _affine_reduce(points: list[tuple[Fraction, ...]]):
     """Coordinates of the points inside their own affine hull.
 
-    Returns (origin, basis rows B, reduced coords), where
-    point = origin + coords . B exactly.
+    Returns (origin, basis rows B, G^-1, reduced coords, start), where
+    point = origin + coords . B exactly, G = B B^T is the Gram matrix and
+    start indexes origin = points[0] and the points origin + B_i.
     """
     origin = points[0]
     basis: list[list[Fraction]] = []
-    for p in points:
+    start = [0]
+    for i, p in enumerate(points):
         delta = [x - o for x, o in zip(p, origin)]
         if any(x != 0 for x in delta) and _frac_rank(basis + [delta]) > len(basis):
             basis.append(delta)
+            start.append(i)
     dim = len(basis)
     if dim == 0:
-        return origin, basis, [() for _ in points]
+        return origin, basis, [], [() for _ in points], start
     # Gram solve: coords c with c . B = p - origin; B rows independent.
     gram = [[sum(bi[k] * bj[k] for k in range(len(origin))) for bj in basis]
             for bi in basis]
@@ -494,7 +500,7 @@ def _affine_reduce(points: list[tuple[Fraction, ...]]):
         rhs = [sum(b[k] * delta[k] for k in range(len(delta))) for b in basis]
         coords.append(tuple(sum(ginv[i][j] * rhs[j] for j in range(dim))
                             for i in range(dim)))
-    return origin, basis, coords
+    return origin, basis, ginv, coords, start
 
 
 def _frac_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -504,68 +510,59 @@ def _frac_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
 
 def _primitive(normal: list[Fraction], offset: Fraction):
     """Scale (normal, offset) to a primitive integer normal."""
-    from math import gcd
-    denom = 1
-    for x in normal:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*[x.denominator for x in normal])
     ints = [int(x * denom) for x in normal]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g == 0:
-        return None
+        raise AssertionError("hull verification failed: zero facet normal")
     return tuple(x // g for x in ints), offset * denom / g
 
 
-def _hull_reduced(coords: list[tuple[Fraction, ...]], dim: int):
-    """Facets and vertex indices for full-dimensional coords in R^dim."""
-    if dim == 1:
-        lo = min(c[0] for c in coords)
-        hi = max(c[0] for c in coords)
-        facets = [((1,), lo), ((-1,), -hi)]
-        verts = sorted({i for i, c in enumerate(coords) if c[0] in (lo, hi)})
-        return facets, verts
+def _placing(coords: list[tuple[Fraction, ...]], start: list[int]):
+    """Placing triangulation of full-dimensional coords in R^dim.
 
-    facets = set()
-    idx = list(range(len(coords)))
-    for subset in combinations(idx, dim):
-        pts = [coords[i] for i in subset]
-        w = [[pts[i][j] - pts[0][j] for j in range(dim)] for i in range(1, dim)]
-        # normal by cofactor expansion; zero when the subset is degenerate
-        normal = []
-        for j in range(dim):
-            minor = [[row[k] for k in range(dim) if k != j] for row in w]
-            sign = -1 if j % 2 else 1
-            normal.append(sign * (exact_det(minor) if minor else Fraction(1)))
-        if all(x == 0 for x in normal):
-            continue
-        offset = sum(n * x for n, x in zip(normal, pts[0]))
-        pos = neg = False
-        for c in coords:
-            s = sum(n * x for n, x in zip(normal, c)) - offset
-            if s > 0:
-                pos = True
-            elif s < 0:
-                neg = True
-            if pos and neg:
-                break
-        if pos and neg:
-            continue
-        if neg:
-            normal = [-x for x in normal]
-            offset = -offset
-        prim = _primitive(normal, offset)
-        if prim is not None:
-            facets.add(prim)
+    The dim + 1 affinely independent points indexed by start make the
+    first simplex; every hyperplane is oriented by its barycentre, which
+    stays strictly inside.  The other points are placed in order: a point
+    strictly beyond some boundary simplices is coned to each of them, and
+    they are replaced by the point joined to each horizon ridge, a ridge
+    met once among them (De Loera, Rambau and Santos 2010, section 4.3).
+    Returns (simplices, boundary): index tuples of the full-dimensional
+    simplices, and a map from each boundary simplex to its primitive
+    (normal, offset), normal . x >= offset on the hull.
+    """
+    dim = len(start) - 1
+    inner = [sum(coords[i][j] for i in start) / (dim + 1) for j in range(dim)]
 
-    facet_list = sorted(facets)
-    verts = []
-    for i, c in enumerate(coords):
-        active = [n for n, off in facet_list
-                  if sum(a * x for a, x in zip(n, c)) == off]
-        if active and _frac_rank(active) == dim:
-            verts.append(i)
-    return facet_list, verts
+    def hyperplane(face):
+        pts = [coords[i] for i in face]
+        w = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
+        # normal by cofactor expansion; the empty minor of dim 1 gives (1)
+        normal = [(-1) ** j * exact_det([row[:j] + row[j + 1:] for row in w])
+                  for j in range(dim)]
+        offset = sum(map(mul, normal, pts[0]))
+        side = sum(map(mul, normal, inner)) - offset
+        if side == 0:
+            raise AssertionError("hull verification failed: flat boundary simplex")
+        if side < 0:
+            normal, offset = [-x for x in normal], -offset
+        return _primitive(normal, offset)
+
+    simplices = [tuple(start)]
+    boundary = {face: hyperplane(face)
+                for face in combinations(simplices[0], dim)}
+    for i, p in enumerate(coords):
+        visible = [face for face, (normal, offset) in boundary.items()
+                   if sum(map(mul, normal, p)) < offset]
+        ridges = Counter(r for face in visible for r in combinations(face, dim - 1))
+        for face in visible:
+            del boundary[face]
+            simplices.append(face + (i,))
+        for ridge, count in ridges.items():
+            if count == 1:
+                face = tuple(sorted(ridge + (i,)))
+                boundary[face] = hyperplane(face)
+    return simplices, boundary
 
 
 def convex_hull(points) -> RatPolytope:
@@ -575,87 +572,48 @@ def convex_hull(points) -> RatPolytope:
     if ambient > 8:
         raise ValueError("ambient dimension above the supported bound of 8")
     pts = sorted(set(pts))
-    origin, basis, coords = _affine_reduce(pts)
+    origin, basis, ginv, coords, start = _affine_reduce(pts)
     dim = len(basis)
     if dim == 0:
         return RatPolytope(ambient, (pts[0],), (), 0)
 
-    red_facets, vert_idx = _hull_reduced(coords, dim)
-
-    gram = [[sum(bi[k] * bj[k] for k in range(ambient)) for bj in basis]
-            for bi in basis]
-    ginv = _frac_inverse(gram)
-    facets = []
+    red_facets = set(_placing(coords, start)[1].values())
+    facets = set()
     for normal, offset in red_facets:
         # reduced inequality n . c >= off pulls back along c = G^{-1} B (x - o)
-        amb = [Fraction(0)] * ambient
-        lifted = [sum(Fraction(normal[i]) * ginv[i][j] for i in range(dim))
-                  for j in range(dim)]
-        for j in range(dim):
-            for k in range(ambient):
-                amb[k] += lifted[j] * basis[j][k]
-        off_amb = Fraction(offset) + sum(a * o for a, o in zip(amb, origin))
-        prim = _primitive(amb, off_amb)
-        if prim is not None:
-            facets.append(prim)
-    facets = sorted(set(facets))
-    vertices = tuple(sorted(pts[i] for i in vert_idx))
+        lifted = [sum(map(mul, normal, col)) for col in zip(*ginv)]
+        amb = [sum(map(mul, lifted, col)) for col in zip(*basis)]
+        facets.add(_primitive(amb, offset + sum(map(mul, amb, origin))))
+    facets = sorted(facets)
+    vertices = tuple(pts[i] for i, c in enumerate(coords)
+                     if _frac_rank([n for n, off in red_facets
+                                    if sum(map(mul, n, c)) == off]) == dim)
 
     for normal, offset in facets:
         for p in pts:
-            if sum(n * x for n, x in zip(normal, p)) < offset:
+            if sum(map(mul, normal, p)) < offset:
                 raise AssertionError("hull verification failed: point outside facet")
     return RatPolytope(ambient, vertices, tuple(facets), dim)
-
-
-def _triangulate(coords: list[tuple[Fraction, ...]]) -> list[list[tuple[Fraction, ...]]]:
-    """Partition the hull of full-dimensional coords into simplices (by fanning)."""
-    dim = len(coords[0])
-    facets, vert_idx = _hull_reduced(coords, dim)
-    verts = [coords[i] for i in vert_idx]
-    if len(verts) == dim + 1:
-        return [verts]
-    apex = verts[0]
-    simplices = []
-    for normal, offset in facets:
-        if sum(n * x for n, x in zip(normal, apex)) == offset:
-            continue
-        on_facet = [v for v in verts
-                    if sum(n * x for n, x in zip(normal, v)) == offset]
-        # facet coordinates live in one dimension lower
-        f_origin, f_basis, f_coords = _affine_reduce(on_facet)
-        for sub in _triangulate(f_coords):
-            lifted = []
-            for c in sub:
-                point = list(f_origin)
-                for w, b in zip(c, f_basis):
-                    for k in range(len(point)):
-                        point[k] += w * b[k]
-                lifted.append(tuple(point))
-            simplices.append([apex] + lifted)
-    return simplices
 
 
 def body_centroid(p: RatPolytope) -> tuple[Fraction, ...]:
     """Exact centroid of the polytope body under uniform measure on its hull."""
     if len(p.vertices) == 1:
         return p.vertices[0]
-    origin, basis, coords = _affine_reduce(list(p.vertices))
+    origin, basis, _, coords, start = _affine_reduce(list(p.vertices))
     dim = len(basis)
     total = Fraction(0)
     acc = [Fraction(0)] * dim
-    for simplex in _triangulate(coords):
-        w = [[simplex[i][j] - simplex[0][j] for j in range(dim)]
-             for i in range(1, dim + 1)]
-        vol = abs(exact_det(w))
-        if vol == 0:
-            continue
+    for simplex in _placing(coords, start)[0]:
+        pts = [coords[i] for i in simplex]
+        vol = abs(exact_det([[x - y for x, y in zip(q, pts[0])]
+                             for q in pts[1:]]))
         total += vol
         for j in range(dim):
-            acc[j] += vol * sum(v[j] for v in simplex) / (dim + 1)
+            acc[j] += vol * sum(q[j] for q in pts)
     if total == 0:
         raise AssertionError("degenerate triangulation")
-    cent = [x / total for x in acc]
+    cent = [x / (total * (dim + 1)) for x in acc]
     out = list(origin)
     for w, b in zip(cent, basis):
         for k in range(len(out)):

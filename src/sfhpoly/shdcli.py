@@ -10,8 +10,8 @@ parse_shd and emit_shd are mutually inverse on canonical files.
 
 Subcommands: validate, compute, polytope, face, norm, depth, build
 tpqn, glue.  Exit codes: 0 success, 1 invalid or disconnected diagram
-or a query with no answer (empty support, zero rank), 2 parse, read or
-usage error, 3 computation obstructed (non-unique domains or an
+or a query with no answer (empty support, zero rank), 2 parse, read,
+write or usage error, 3 computation obstructed (non-unique domains or an
 undetermined differential).
 """
 
@@ -515,11 +515,13 @@ _DISPATCH = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def run_command(argv: list[str], stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit:
         return 2
     try:
@@ -532,6 +534,9 @@ def run_command(argv: list[str], stdout=None) -> int:
         return 2
     except IsADirectoryError as ex:
         out.write(f"is a directory: {ex.filename}\n")
+        return 2
+    except OSError as ex:
+        out.write(f"cannot access {ex.filename}: {ex.strerror}\n")
         return 2
     except BadParams as ex:
         out.write(f"bad parameters: {ex}\n")

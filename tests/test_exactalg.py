@@ -6,7 +6,8 @@ Oracles used here:
     must equal the k-th divisor.  Also sympy's own Smith normal form.
   * determinants, ranks and inverses -> sympy's exact Matrix arithmetic.
   * GF(2) kernels      -> naive list-of-lists row reduction.
-  * convex hulls       -> scipy's Qhull on integer points in general position,
+  * convex hulls       -> scipy's Qhull (vertices, facet hyperplanes, and the
+    centroid of a Delaunay triangulation) on degenerate integer point sets,
     plus the facet/extremality definitions directly.
 Expected values below were computed from those oracles and frozen.
 """
@@ -385,19 +386,79 @@ def test_hull_idempotent():
         assert once.facets == twice.facets
 
 
+def degenerate_base(rng, k):
+    """Full-dimensional integer points in Z^k with duplicates, collinear
+    and coplanar points among them."""
+    while True:
+        pts = [tuple(rng.randint(-3, 3) for _ in range(k))
+               for _ in range(rng.randint(k + 1, 10))]
+        if sympy.Matrix([[x - o for x, o in zip(p, pts[0])]
+                         for p in pts[1:]]).rank() == k:
+            break
+    a, b, c = pts[:3]
+    for _ in range(3):
+        s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+        pts.append(tuple(x + s * (y - x) for x, y in zip(a, b)))
+        pts.append(tuple(x + s * (y - x) + t * (z - x)
+                         for x, y, z in zip(a, b, c)))
+        pts.append(rng.choice(pts))
+    rng.shuffle(pts)
+    return pts
+
+
+def integer_embedding(rng, k, ambient):
+    """x -> offset + x M for a random integer k x ambient M of rank k."""
+    while True:
+        m = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(k)]
+        if sympy.Matrix(m).rank() == k:
+            break
+    offset = [rng.randint(-3, 3) for _ in range(ambient)]
+    return lambda x: tuple(o + sum(xi * row[j] for xi, row in zip(x, m))
+                           for j, o in enumerate(offset))
+
+
 def test_hull_against_qhull():
-    scipy_spatial = pytest.importorskip("scipy.spatial")
-    rng = random.Random(11)
-    for _ in range(12):
-        pts = {tuple(rng.randint(-50, 50) for _ in range(3)) for _ in range(12)}
-        pts = sorted(pts)
-        poly = convex_hull(pts)
-        if poly.dim < 3:
-            continue
-        qh = scipy_spatial.ConvexHull([[float(x) for x in p] for p in pts])
-        mine = sorted(poly.vertices)
-        theirs = sorted(tuple(Fraction(int(x)) for x in pts[i]) for i in qh.vertices)
-        assert mine == theirs
+    spatial = pytest.importorskip("scipy.spatial")
+    numpy = pytest.importorskip("numpy")
+    for k, ambient in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)):
+        rng = random.Random(100 * k + ambient)
+        for _ in range(4):
+            base = degenerate_base(rng, k)
+            embed = integer_embedding(rng, k, ambient)
+            poly = convex_hull([embed(x) for x in base])
+            assert poly.dim == k
+            floats = numpy.array(base, dtype=float)
+
+            qh = spatial.ConvexHull(floats)
+            assert set(poly.vertices) == {embed(base[i]) for i in qh.vertices}
+            planes = []
+            for eq in qh.equations:
+                if all(numpy.abs(eq - q).max() > 1e-9 for q in planes):
+                    planes.append(eq)
+            assert len(poly.facets) == len(planes)
+
+            total, acc = 0.0, numpy.zeros(k)
+            for simplex in spatial.Delaunay(floats).simplices:
+                corners = floats[simplex]
+                vol = abs(numpy.linalg.det(corners[1:] - corners[0]))
+                total += vol
+                acc += vol * corners.mean(axis=0)
+            expected = embed(acc / total)
+            centroid = body_centroid(poly)
+            assert all(abs(float(c) - e) <= 1e-9
+                       for c, e in zip(centroid, expected))
+
+
+@pytest.mark.parametrize("ambient", [1, 2, 3, 4])
+def test_hull_1d_min_max(ambient):
+    rng = random.Random(ambient)
+    embed = integer_embedding(rng, 1, ambient)
+    base = [(rng.randint(-9, 9),) for _ in range(8)]
+    lo, hi = min(base), max(base)
+    poly = convex_hull([embed(x) for x in base])
+    assert poly.dim == 1 and len(poly.facets) == 2
+    assert set(poly.vertices) == {embed(lo), embed(hi)}
+    assert body_centroid(poly) == embed((Fraction(lo[0] + hi[0], 2),))
 
 
 def test_centroid_segment_midpoint():

@@ -146,6 +146,14 @@ def test_exit_codes(tmp_path):
                       .encode("latin-1"))
     rc, text = run(["validate", str(latin)])
     assert rc == 2 and "not UTF-8" in text and text.count("\n") == 1
+    under_file = str(ok / "x")
+    for argv in (["validate", under_file],
+                 ["build", "tpqn", "--p", "1", "--q", "0", "--n", "4",
+                  "--out", under_file],
+                 ["validate", str(tmp_path / ("x" * 300))]):
+        rc, text = run(argv)
+        assert rc == 2 and text.startswith("cannot access ") \
+            and text.count("\n") == 1
 
     one, two = relabel(build_tpqn(1, 0, 4), "p"), \
         relabel(build_tpqn(1, 0, 4), "q")
