@@ -6,16 +6,24 @@ eps(x, y) is the H1 coset of the 1-cycle built from forward paths along
 alpha curves minus forward paths along beta curves; it vanishes exactly
 when an integer domain connects x to y (boundary regions pinned to 0).
 
-The differential is combinatorial: on nice diagrams it counts empty
-bigons and rectangles, which is exact; otherwise it can certify zero
-when every candidate domain is non-positive or has index other than 1.
-Anything else is reported as undetermined rather than guessed.
+Each class gets one domain table: D(a, g) for its first member a and
+every member g, one solve each, and the grading gr(g) = -mu(D(a, g)).
+With a zero periodic lattice D(x, y) = D(a, y) - D(a, x) and
+mu(x, y) = gr(x) - gr(y), so only pairs one grading apart with
+D(x, y) >= 0 can count.  On nice diagrams such a pair is an entry when
+D(x, y) is an empty bigon or rectangle, which is exact, and d^2 = 0 is
+checked on each class block.  On any other diagram the absence of such
+a pair certifies d = 0, and a pair is reported as undetermined rather
+than guessed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import xor
 
 from .diagram import (
     Diagram,
@@ -234,63 +242,58 @@ class Undetermined:
     """Some positive index-1 domain exists on a non-nice diagram."""
 
 
-def _coordinate_diff(x: Generator, y: Generator) -> int:
-    return sum(p != q for (_, p), (_, q) in zip(x.matching, y.matching))
+def _domain_table(d: Diagram, gens: tuple[Generator, ...], members: list[int]):
+    """(g, D(a, g), gr(g) = -mu(D(a, g))) per member g, anchor a = members[0].
+
+    The jump system is linear in the pair, so with a zero periodic lattice
+    D(x, y) = D(a, y) - D(a, x), and mu(x, y) = gr(x) - gr(y) by additivity.
+    """
+    a = gens[members[0]]
+    table = []
+    for g in members:
+        dom = connecting_domain(d, a, gens[g])
+        if not isinstance(dom, Domain):
+            raise AssertionError("no unique domain within a class")
+        table.append((g, dom.multiplicities,
+                      -maslov_index(d, dom, a, gens[g])))
+    return table
 
 
-def _empty_at_shared(s, dom: Domain, x: Generator, y: Generator) -> bool:
-    shared = set(x.points) & set(y.points)
-    m = dom.multiplicities
-    return all(sum(m[ri] for ri in s.quadrant[p].values()) == 0
-               for p in shared)
-
-
-def _class_members(assignments) -> list[list[int]]:
+def _differential(d: Diagram, gens: tuple[Generator, ...],
+                  assignments: tuple[SpinAssignment, ...]):
+    """One domain table per class, and the differential read off them."""
+    s = diagram_index(d)
+    if s.lattice.rank:
+        raise LatticeNotZero("periodic domains make counting ambiguous")
     by_class: dict[int, list[int]] = {}
     for i, a in enumerate(assignments):
         by_class.setdefault(a.class_id, []).append(i)
-    return [by_class[cid] for cid in sorted(by_class)]
+    tables = [_domain_table(d, gens, by_class[c]) for c in sorted(by_class)]
+    nice = is_nice(d).nice
+    ones = set()
+    for table in tables:
+        for (i, di, gi), (j, dj, gj) in product(table, repeat=2):
+            if gi - gj != 1 or any(p > q for p, q in zip(di, dj)):
+                continue
+            if not nice:
+                return tables, Undetermined()
+            dom = tuple(q - p for p, q in zip(di, dj))
+            shared = set(gens[i].points) & set(gens[j].points)
+            moved = len(gens[i].points) - len(shared)
+            if max(dom) <= 1 and 1 <= moved <= 2 and not any(
+                    dom[r] for p in shared for r in s.quadrant[p].values()):
+                ones.add((i, j))
+    if not nice:
+        return tables, ZeroCertificate()
+    n = len(gens)
+    return tables, Exact(tuple(tuple(int((i, j) in ones) for j in range(n))
+                               for i in range(n)))
 
 
 def differential(d: Diagram, gens: tuple[Generator, ...],
                  assignments: tuple[SpinAssignment, ...]):
     """Exact matrix on nice diagrams, else ZeroCertificate or Undetermined."""
-    s = diagram_index(d)
-    if s.lattice.rank:
-        raise LatticeNotZero("periodic domains make counting ambiguous")
-    classes = _class_members(assignments)
-    if is_nice(d).nice:
-        n = len(gens)
-        matrix = [[0] * n for _ in range(n)]
-        for members in classes:
-            for i in members:
-                for j in members:
-                    if i == j or not 1 <= _coordinate_diff(gens[i],
-                                                           gens[j]) <= 2:
-                        continue
-                    dom = connecting_domain(d, gens[i], gens[j])
-                    if not isinstance(dom, Domain):
-                        raise AssertionError("no unique domain within a class")
-                    if any(mult not in (0, 1)
-                           for mult in dom.multiplicities):
-                        continue
-                    if maslov_index(d, dom, gens[i], gens[j]) != 1:
-                        continue
-                    if _empty_at_shared(s, dom, gens[i], gens[j]):
-                        matrix[i][j] = 1
-        return Exact(tuple(tuple(row) for row in matrix))
-    for members in classes:
-        for i in members:
-            for j in members:
-                if i == j:
-                    continue
-                dom = connecting_domain(d, gens[i], gens[j])
-                if isinstance(dom, NoDomain):
-                    continue
-                if all(mult >= 0 for mult in dom.multiplicities) and \
-                        maslov_index(d, dom, gens[i], gens[j]) == 1:
-                    return Undetermined()
-    return ZeroCertificate()
+    return _differential(d, gens, assignments)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +333,12 @@ class SFHTable:
         return sum(self.dims)
 
 
-def _assert_boundary_squared_zero(matrix) -> None:
-    n = len(matrix)
-    for i in range(n):
-        for k in range(n):
-            if sum(matrix[i][j] * matrix[j][k] for j in range(n)) % 2:
-                raise AssertionError("differential does not square to zero")
+def _assert_square_zero(block) -> None:
+    """d^2 = 0 on one class block, with the rows as GF(2) bit masks."""
+    masks = [sum(v << j for j, v in enumerate(row)) for row in block]
+    for row in block:
+        if reduce(xor, (m for m, v in zip(masks, row) if v), 0):
+            raise AssertionError("differential does not square to zero")
 
 
 def homology(d: Diagram) -> SFHTable:
@@ -345,32 +348,24 @@ def homology(d: Diagram) -> SFHTable:
     if not gens:
         return SFHTable((), (), (), h1.b1, h1.torsion)
     assignments = partition_spinc(d, gens)
-    res = differential(d, gens, assignments)
+    tables, res = _differential(d, gens, assignments)
     if isinstance(res, Undetermined):
         raise DifferentialUndetermined("no combinatorial count applies")
-    if isinstance(res, Exact):
-        _assert_boundary_squared_zero(res.matrix)
     rows = []
-    for cid, members in enumerate(_class_members(assignments)):
+    for cid, entries in enumerate(tables):
+        members, _, grads = zip(*entries)
+        rank = 0
         if isinstance(res, Exact):
             sub = [[res.matrix[i][j] for j in members] for i in members]
+            _assert_square_zero(sub)
             rank, _ = gf2_rank_kernel(sub)
-        else:
-            rank = 0
         count = len(members)
         dim = count - 2 * rank
         if dim < 0:
             raise AssertionError("differential rank exceeds half the class")
-        first = members[0]
-        grads = []
-        for g in members:
-            dom = connecting_domain(d, gens[first], gens[g])
-            if not isinstance(dom, Domain):
-                raise AssertionError("no unique domain within a class")
-            grads.append(-maslov_index(d, dom, gens[first], gens[g]))
-        rep = assignments[first].coset_rep
-        rows.append(ClassRow(cid, tuple(members), count, rank, dim, rep,
-                             h1.free_part(rep), tuple(grads)))
+        rep = assignments[members[0]].coset_rep
+        rows.append(ClassRow(cid, members, count, rank, dim, rep,
+                             h1.free_part(rep), grads))
     table = SFHTable(gens, assignments, tuple(rows), h1.b1, h1.torsion)
     if sum(c.gen_count for c in table.classes) != len(gens):
         raise AssertionError("classes do not partition the generators")

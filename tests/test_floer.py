@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import gc
 import itertools
+import random
 import weakref
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from sfhpoly import diagram, exactalg
-from sfhpoly.builders import build_tpqn
+from sfhpoly import diagram, exactalg, floer
+from sfhpoly.builders import (build_base, build_elementary_piece, build_tpqn,
+                              stabilize)
 from sfhpoly.diagram import Curve, Diagram, Region, diagram_index
 from sfhpoly.floer import (
     DifferentialUndetermined,
@@ -25,6 +29,7 @@ from sfhpoly.floer import (
     Exact,
     LatticeNotZero,
     NoDomain,
+    NonIntegerIndex,
     NonUnique,
     Undetermined,
     ZeroCertificate,
@@ -256,17 +261,29 @@ def test_maslov_frozen(pants_bigon, grid_rect):
 
 
 def test_maslov_additive(pants_bigon, grid_rect):
-    for d in (pants_bigon, grid_rect):
+    # the class-anchored domain table rests on this additivity
+    rng = random.Random(6)
+    for d in (pants_bigon, grid_rect, build_tpqn(1, 0, 6),
+              build_tpqn(2, 1, 4), hand_stabilized(grid_rect, "S10"),
+              build_tpqn(1, 0, 12)):
         gens = enumerate_generators(d)
-        for x, y, z in itertools.product(gens, repeat=3):
-            dxy = connecting_domain(d, x, y)
-            dyz = connecting_domain(d, y, z)
-            dxz = connecting_domain(d, x, z)
-            total = Domain(tuple(a + b for a, b in
-                                 zip(dxy.multiplicities, dyz.multiplicities)))
-            assert total == dxz
-            assert maslov_index(d, dxy, x, y) + maslov_index(d, dyz, y, z) \
-                == maslov_index(d, dxz, x, z)
+        classes: dict[int, list] = {}
+        for g, a in zip(gens, partition_spinc(d, gens)):
+            classes.setdefault(a.class_id, []).append(g)
+        for members in classes.values():
+            triples = list(itertools.product(members, repeat=3))
+            if len(triples) > 200:
+                triples = rng.sample(triples, 200)
+            for x, y, z in triples:
+                dxy = connecting_domain(d, x, y)
+                dyz = connecting_domain(d, y, z)
+                dxz = connecting_domain(d, x, z)
+                total = Domain(tuple(a + b for a, b in
+                                     zip(dxy.multiplicities,
+                                         dyz.multiplicities)))
+                assert total == dxz
+                assert maslov_index(d, dxy, x, y) + \
+                    maslov_index(d, dyz, y, z) == maslov_index(d, dxz, x, z)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +336,101 @@ def test_differential_undetermined(grid_rect):
     assert res == Undetermined()
     with pytest.raises(DifferentialUndetermined):
         homology(d)
+
+
+def _pairwise_reference(d: Diagram):
+    """The differential and the gradings from one solve per in-class pair.
+
+    Every ordered pair of class-mates gets its own connecting_domain and
+    maslov_index; a positive index-1 domain is an entry on a nice diagram
+    when it has multiplicities <= 1, moves one or two coordinates and is
+    empty at the shared points, and is undetermined on any other diagram.
+    The gradings are -mu of the domain from each class's first member.
+    """
+    gens = enumerate_generators(d)
+    if diagram.periodic_lattice(d).rank:
+        return LatticeNotZero, None
+    s = diagram_index(d)
+    nice = diagram.is_nice(d).nice
+    by_class: dict[int, list[int]] = {}
+    for i, a in enumerate(partition_spinc(d, gens)):
+        by_class.setdefault(a.class_id, []).append(i)
+    classes = [by_class[c] for c in sorted(by_class)]
+    matrix = [[0] * len(gens) for _ in gens]
+    undetermined = False
+    for members in classes:
+        for i, j in itertools.permutations(members, 2):
+            x, y = gens[i], gens[j]
+            dom = connecting_domain(d, x, y)
+            assert isinstance(dom, Domain)
+            m = dom.multiplicities
+            if min(m) < 0 or maslov_index(d, dom, x, y) != 1:
+                continue
+            moved = sum(p != q for (_, p), (_, q)
+                        in zip(x.matching, y.matching))
+            empty = all(sum(m[r] for r in s.quadrant[p].values()) == 0
+                        for p in set(x.points) & set(y.points))
+            if not nice:
+                undetermined = True
+            elif max(m) <= 1 and 1 <= moved <= 2 and empty:
+                matrix[i][j] = 1
+    if undetermined:
+        result = Undetermined()
+    elif nice:
+        result = Exact(tuple(tuple(row) for row in matrix))
+    else:
+        result = ZeroCertificate()
+    gradings = []
+    for members in classes:
+        a = gens[members[0]]
+        gradings.append(tuple(
+            -maslov_index(d, connecting_domain(d, a, gens[g]), a, gens[g])
+            for g in members))
+    return result, gradings
+
+
+ORACLE_POOL = {
+    "grid_rect": lambda: torus_grid(("S00", "S01", "S11")),
+    "grid_four": lambda: torus_grid(("S00", "S01", "S10", "S11")),
+    "grid_diag": lambda: torus_grid(("S00", "S11")),
+    "grid_adjacent": lambda: torus_grid(("S00", "S01")),
+    "grid_rect_bumped": lambda: genus_bump(
+        torus_grid(("S00", "S01", "S11")), "S10"),
+    "grid_rect_hand_stabilized_S00": lambda: hand_stabilized(
+        torus_grid(("S00", "S01", "S11")), "S00"),
+    "grid_rect_hand_stabilized_S10": lambda: hand_stabilized(
+        torus_grid(("S00", "S01", "S11")), "S10"),
+    "grid_rect_stabilized_S10": lambda: stabilize(
+        torus_grid(("S00", "S01", "S11")), "S10"),
+    "base_2_1": lambda: build_base(2, 1),
+    "base_3_2": lambda: build_base(3, 2),
+    "base_5_2": lambda: build_base(5, 2),
+    "elementary_piece": build_elementary_piece,
+}
+ORACLE_POOL.update({
+    f"T({p},{q};{n})": (lambda p=p, q=q, n=n: build_tpqn(p, q, n))
+    for p in range(1, 6) for q in range(p) if gcd(p, q) == 1
+    for n in range(2, 11, 2)})
+
+
+@pytest.mark.parametrize("name", ORACLE_POOL)
+def test_differential_matches_pairwise_oracle(name):
+    d = ORACLE_POOL[name]()
+    want, gradings = _pairwise_reference(d)
+    gens = enumerate_generators(d)
+    assigns = partition_spinc(d, gens)
+    if want is LatticeNotZero:
+        with pytest.raises(LatticeNotZero):
+            differential(d, gens, assigns)
+        with pytest.raises(LatticeNotZero):
+            homology(d)
+        return
+    assert differential(d, gens, assigns) == want
+    if isinstance(want, Undetermined):
+        with pytest.raises(DifferentialUndetermined):
+            homology(d)
+    else:
+        assert [row.gradings for row in homology(d).classes] == gradings
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +487,39 @@ def test_homology_lattice_guard(annulus_isotopic):
         homology(annulus_isotopic)
 
 
+def _no_domain(d, x, y):
+    return NoDomain()
+
+
+def _half_index(r):
+    return Fraction(1, 3)
+
+
+def _rank_two(block):
+    return 2, []
+
+
+def _squares_to_identity(real):
+    def wrapped(d, gens, assignments):
+        tables, _ = real(d, gens, assignments)
+        return tables, Exact(((0, 1), (1, 0)))
+    return wrapped
+
+
+@pytest.mark.parametrize("name,value,error", [
+    ("connecting_domain", _no_domain, "no unique domain within a class"),
+    ("euler_measure", _half_index, "index"),
+    ("_differential", _squares_to_identity(floer._differential),
+     "does not square to zero"),
+    ("gf2_rank_kernel", _rank_two, "rank exceeds half the class"),
+])
+def test_homology_checks_raise_on_their_fault(monkeypatch, pants_bigon,
+                                              name, value, error):
+    monkeypatch.setattr(floer, name, value)
+    with pytest.raises((AssertionError, NonIntegerIndex), match=error):
+        homology(pants_bigon)
+
+
 # ---------------------------------------------------------------------------
 # the prepared context
 
@@ -405,3 +550,16 @@ def test_smith_forms_per_diagram_do_not_grow(monkeypatch):
         homology(d)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_homology_solves_once_per_generator(monkeypatch):
+    calls = []
+    real = floer.connecting_domain
+
+    def counted(d, x, y):
+        calls.append((x, y))
+        return real(d, x, y)
+
+    monkeypatch.setattr(floer, "connecting_domain", counted)
+    table = homology(build_tpqn(1, 0, 12))
+    assert 0 < len(calls) <= len(table.generators)
