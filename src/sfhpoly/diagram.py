@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .exactalg import LinearSolver, integer_kernel_basis, smith_normal_form, \
-    unimodular_inverse, vec_mat
+from .exactalg import LinearSolver, integer_kernel_basis, mat_vec, \
+    smith_normal_form, unimodular_inverse, vec_mat
 
 
 class Disconnected(ValueError):
@@ -136,9 +136,10 @@ class _Scan:
     tables (curves by name, the curves through each point, the regions on
     each side of each arc, the corner quadrants, the components), collecting
     violations instead of crashing.  The data derived from those tables is
-    computed on first use and then kept: the interior regions, the
-    factorized jump system (`jump`), the periodic lattice read off that same
-    factorization (`lattice`), and the first homology (`h1`).
+    computed on first use and then kept: the interior regions, four times
+    the Euler measure of each region (`euler4`), the factorized jump system
+    (`jump`), the periodic lattice read off that same factorization
+    (`lattice`), and the first homology (`h1`).
 
     A context is built lazily, once per Diagram object, and stored on that
     object, so it lives exactly as long as the diagram does (the two refer
@@ -325,6 +326,12 @@ class _Scan:
     def interior(self) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.d.regions)
                      if not r.touches_boundary)
+
+    @cached_property
+    def euler4(self) -> tuple[int, ...]:
+        """4 e(R) per region, an integer: see euler_measure."""
+        return tuple(4 * r.compact_euler() - r.corner_count
+                     for r in self.d.regions)
 
     def on_regions(self, vec) -> tuple[int, ...]:
         """A vector over the interior regions, extended by 0 to all regions."""
@@ -563,14 +570,50 @@ def is_nice(d: Diagram) -> NicenessResult:
 
 
 @dataclass(frozen=True)
+class _CycleCoords:
+    """Coordinates of curve-graph cycles in the fixed cycle basis B.
+
+    The arcs outside a spanning forest of the curve graph, and the
+    boundary circles, which are loops, are the non-tree positions N.  A
+    cycle is fixed by its entries on N, so restriction to N maps the cycle
+    lattice isomorphically onto Z^N; B is a basis of that lattice, so B on
+    the rows N is a square unimodular matrix M, and x = M^-1 z[N] are the
+    coordinates of a cycle z.  A chain z that is not a cycle fails the
+    substitution check B x = z.
+    """
+
+    arc_pos: dict
+    circle_pos: dict
+    basis: tuple[tuple[int, ...], ...]      # B, one row per chain position
+    nontree: tuple[int, ...]
+    inverse: tuple[tuple[int, ...], ...]    # M^-1
+
+    def of(self, chain: dict) -> tuple[int, ...] | None:
+        """Coordinates of a 1-chain {(curve, arc) or circle id -> mult},
+        or None when it is not a cycle."""
+        z = [0] * len(self.basis)
+        for key, mult in chain.items():
+            pos = self.arc_pos.get(key)
+            if pos is None:
+                pos = self.circle_pos[key]
+            z[pos] += mult
+        x = mat_vec(self.inverse, [z[i] for i in self.nontree])
+        return x if mat_vec(self.basis, x) == tuple(z) else None
+
+
+@dataclass(frozen=True)
 class H1Presentation:
     """H1 of the sutured manifold as a quotient of the curve-graph cycles.
 
-    Generators: a saturated basis of the cycle space of the curve graph
+    Generators: a saturated basis B of the cycle space of the curve graph
     together with the boundary circles, plus two free generators per unit
     of region genus.  Relations: each region's total boundary, and the
-    class of each full curve.  The normalizer reduces any generator-coords
-    vector to a canonical coset representative via the relation SNF.
+    class of each full curve.  Cycle coordinates are read off the arcs
+    outside a spanning forest of the curve graph through one inverse,
+    checked twice: B restricted to those arcs must be unimodular, and
+    every read-off x must satisfy B x = z.  The normalizer reduces any
+    generator-coords vector to a canonical coset representative via the
+    relation SNF.
     """
 
     generator_count: int
@@ -578,10 +621,7 @@ class H1Presentation:
     normal_form: object             # SNFResult of the relation matrix
     b1: int
     torsion: tuple[int, ...]
-    _chain_solver: object
-    _cycle_rank: int
-    _arc_pos: dict
-    _circle_pos: dict
+    _cycles: _CycleCoords
     _v: tuple
     _vinv: tuple
     _diag_pad: tuple[int, ...]
@@ -593,17 +633,10 @@ class H1Presentation:
         The chain is a map {(curve, arc) or circle id -> multiplicity};
         handle generators never appear in curve-graph chains.
         """
-        n = len(self._arc_pos) + len(self._circle_pos)
-        vec = [0] * n
-        for key, mult in chain.items():
-            pos = self._arc_pos.get(key)
-            if pos is None:
-                pos = self._circle_pos[key]
-            vec[pos] += mult
-        coords = self._chain_solver.solve(vec)
+        coords = self._cycles.of(chain)
         if coords is None:
             raise ValueError("chain is not a cycle of the curve graph")
-        return tuple(coords) + (0,) * (self.generator_count - self._cycle_rank)
+        return coords + (0,) * (self.generator_count - len(coords))
 
     def normalize(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Canonical representative of v's coset modulo the relations."""
@@ -643,30 +676,41 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
     point_row = {p: i for i, p in enumerate(s.points)}
 
     bd = [[0] * n for _ in s.points]
+    root = {p: p for p in s.points}
+
+    def find(p: str) -> str:
+        while root[p] != p:
+            root[p] = root[root[p]]
+            p = root[p]
+        return p
+
+    nontree = []
     for ai, (cname, k) in enumerate(arcs):
         start, end = s.curve_by_name[cname].arc_ends(k)
         bd[point_row[end]][ai] += 1
         bd[point_row[start]][ai] -= 1
+        a, b = find(start), find(end)
+        if a == b:
+            nontree.append(ai)
+        else:
+            root[a] = b
+    nontree.extend(circle_pos.values())
     cycle_basis = integer_kernel_basis(bd) if s.points else \
         [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    basis = [tuple(vec[i] for vec in cycle_basis) for i in range(n)]
+    cycles = _CycleCoords(arc_pos, circle_pos, tuple(basis), tuple(nontree),
+                          tuple(map(tuple, unimodular_inverse(
+                              [basis[i] for i in nontree]))))
     cycle_rank = len(cycle_basis)
-    solver = LinearSolver([[vec[i] for vec in cycle_basis]
-                           for i in range(n)])
 
     handles = sum(2 * r.genus for r in d.regions)
     gen_count = cycle_rank + handles
 
     def coords_of(chain: dict) -> tuple[int, ...]:
-        vec = [0] * n
-        for key, mult in chain.items():
-            pos = arc_pos.get(key)
-            if pos is None:
-                pos = circle_pos[key]
-            vec[pos] += mult
-        sol = solver.solve(vec)
-        if sol is None:
+        x = cycles.of(chain)
+        if x is None:
             raise AssertionError("region/curve relation is not a cycle")
-        return tuple(sol) + (0,) * handles
+        return x + (0,) * handles
 
     relations = []
     for r in d.regions:
@@ -686,8 +730,7 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
     if not relations and gen_count:
         relations = [[0] * gen_count]
     if gen_count == 0:
-        return H1Presentation(0, (), None, 0, (), solver, 0,
-                              arc_pos, circle_pos, (), (), (), ())
+        return H1Presentation(0, (), None, 0, (), cycles, (), (), (), ())
 
     snf = smith_normal_form(relations)
     diag = list(snf.diagonal) + [0] * (gen_count - len(snf.diagonal))
@@ -702,10 +745,7 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
         normal_form=snf,
         b1=b1,
         torsion=torsion,
-        _chain_solver=solver,
-        _cycle_rank=cycle_rank,
-        _arc_pos=arc_pos,
-        _circle_pos=circle_pos,
+        _cycles=cycles,
         _v=snf.v,
         _vinv=tuple(tuple(r) for r in vinv),
         _diag_pad=tuple(diag),

@@ -329,8 +329,8 @@ def integer_kernel_basis(a: list[list[int]]) -> list[tuple[int, ...]]:
 class LinearSolver:
     """A x = b solver over the integers with a precomputed factorization.
 
-    Callers that solve against one matrix many times (connecting domains,
-    cycle-basis coordinates) keep one of these around.
+    Callers that solve against one matrix many times (connecting domains)
+    keep one of these around.
     """
 
     def __init__(self, a: list[list[int]]):

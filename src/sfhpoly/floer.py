@@ -10,26 +10,28 @@ Each class gets one domain table: D(a, g) for its first member a and
 every member g, one solve each, and the grading gr(g) = -mu(D(a, g)).
 With a zero periodic lattice D(x, y) = D(a, y) - D(a, x) and
 mu(x, y) = gr(x) - gr(y), so only pairs one grading apart with
-D(x, y) >= 0 can count.  On nice diagrams such a pair is an entry when
-D(x, y) is an empty bigon or rectangle, which is exact, and d^2 = 0 is
-checked on each class block.  On any other diagram the absence of such
-a pair certifies d = 0, and a pair is reported as undetermined rather
-than guessed.
+D(x, y) >= 0 can count.  On a nice diagram every such pair is an entry:
+by Sarkar and Wang (Ann. of Math. 171, 2010, Theorem 3.3) a positive
+index-1 domain there is an empty embedded bigon or rectangle, with one
+holomorphic representative.  That is checked, not assumed: a domain with
+a multiplicity above 1, with other than one or two moved coordinates,
+or covering a corner at a point x and y share raises AssertionError.
+d^2 = 0 is checked on each class block.  On any other diagram the
+absence of such a pair certifies d = 0, and a pair is reported as
+undetermined rather than guessed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import product
-from operator import xor
+from operator import mul, xor
 
 from .diagram import (
     Diagram,
     PeriodicLattice,
     diagram_index,
-    euler_measure,
     h1_presentation,
     is_nice,
 )
@@ -205,20 +207,18 @@ def maslov_index(d: Diagram, dom: Domain, x: Generator, y: Generator) -> int:
     """Index of dom as a class from x to y.
 
     Euler measures weighted by multiplicity plus the average quadrant
-    multiplicity over the points of x and of y.
+    multiplicity over the points of x and of y, summed as 4 mu in integers
+    from the context's 4 e(R) per region.
     """
     s = diagram_index(d)
     m = dom.multiplicities
-    mu = Fraction(0)
-    for mult, r in zip(m, d.regions):
-        if mult:
-            mu += mult * euler_measure(r)
+    mu4 = sum(map(mul, m, s.euler4))
     for g in (x, y):
         for p in g.points:
-            mu += Fraction(sum(m[ri] for ri in s.quadrant[p].values()), 4)
-    if mu.denominator != 1:
-        raise NonIntegerIndex(f"index {mu} between {x} and {y}")
-    return int(mu)
+            mu4 += sum(m[ri] for ri in s.quadrant[p].values())
+    if mu4 % 4:
+        raise NonIntegerIndex(f"index {mu4}/4 between {x} and {y}")
+    return mu4 // 4
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +280,19 @@ def _differential(d: Diagram, gens: tuple[Generator, ...],
             dom = tuple(q - p for p, q in zip(di, dj))
             shared = set(gens[i].points) & set(gens[j].points)
             moved = len(gens[i].points) - len(shared)
-            if max(dom) <= 1 and 1 <= moved <= 2 and not any(
-                    dom[r] for p in shared for r in s.quadrant[p].values()):
+            if max(dom) > 1:
+                fault = "a multiplicity above 1"
+            elif not 1 <= moved <= 2:
+                fault = f"{moved} moved coordinates"
+            elif any(dom[r] for p in shared for r in s.quadrant[p].values()):
+                fault = "a covered corner at a shared point"
+            else:
                 ones.add((i, j))
+                continue
+            raise AssertionError(
+                f"positive index-1 domain from {gens[i]} to {gens[j]} on a "
+                f"nice diagram has {fault}, so it is not an empty bigon or "
+                f"rectangle")
     if not nice:
         return tables, ZeroCertificate()
     n = len(gens)

@@ -29,7 +29,9 @@ from sfhpoly.diagram import (
     periodic_lattice,
     validate,
 )
-from sfhpoly.exactalg import smith_normal_form
+from sfhpoly.builders import build_base, build_elementary_piece, build_tpqn
+from sfhpoly.exactalg import LinearSolver, integer_kernel_basis, \
+    smith_normal_form
 from conftest import seg, torus_grid
 
 
@@ -276,3 +278,66 @@ def test_h1_disconnected():
     assert validate(d).ok
     with pytest.raises(Disconnected):
         h1_presentation(d)
+
+
+# the diagrams of the acceptance property suite
+PROPERTY_POOL = {
+    "grid_rect": lambda: torus_grid(("S00", "S01", "S11")),
+    "grid_four": lambda: torus_grid(("S00", "S01", "S10", "S11")),
+    "base_2_1": lambda: build_base(2, 1),
+    "base_3_2": lambda: build_base(3, 2),
+    "base_5_2": lambda: build_base(5, 2),
+    "elementary_piece": build_elementary_piece,
+    "T(1,0;4)": lambda: build_tpqn(1, 0, 4),
+    "T(1,0;6)": lambda: build_tpqn(1, 0, 6),
+    "T(2,1;4)": lambda: build_tpqn(2, 1, 4),
+}
+
+
+def _chain_positions(d: Diagram) -> list:
+    """Arcs curve by curve, then boundary circles: H1's chain positions."""
+    return [(c.name, k) for c in d.curves for k in range(len(c.points))] + \
+        list(d.boundary_circles)
+
+
+def _cycle_basis(d: Diagram) -> list[tuple[int, ...]]:
+    """The saturated kernel basis of the curve-graph boundary map."""
+    s = diagram_index(d)
+    keys = _chain_positions(d)
+    bd = [[0] * len(keys) for _ in s.points]
+    row = {p: i for i, p in enumerate(s.points)}
+    for j, key in enumerate(keys):
+        if isinstance(key, tuple):
+            start, end = s.curve_by_name[key[0]].arc_ends(key[1])
+            bd[row[end]][j] += 1
+            bd[row[start]][j] -= 1
+    return integer_kernel_basis(bd)
+
+
+@pytest.mark.parametrize("name", PROPERTY_POOL)
+def test_chain_coords_read_off_matches_solver(name):
+    """Forest read-off coordinates of random cycles equal their coefficients
+    in the cycle basis, and a solve against that basis agrees."""
+    d = PROPERTY_POOL[name]()
+    h1 = h1_presentation(d)
+    keys = _chain_positions(d)
+    basis = _cycle_basis(d)
+    oracle = LinearSolver([[vec[i] for vec in basis]
+                           for i in range(len(keys))])
+    handles = h1.generator_count - len(basis)
+    rng = random.Random(name)
+    for _ in range(20):
+        coeffs = tuple(rng.randint(-3, 3) for _ in basis)
+        z = [sum(c * vec[i] for c, vec in zip(coeffs, basis))
+             for i in range(len(keys))]
+        chain = {key: x for key, x in zip(keys, z) if x}
+        assert oracle.solve(z) == coeffs
+        assert h1.chain_coords(chain) == coeffs + (0,) * handles
+
+
+@pytest.mark.parametrize("name", PROPERTY_POOL)
+def test_chain_coords_rejects_a_non_cycle(name):
+    d = PROPERTY_POOL[name]()
+    c = next(c for c in d.curves if len(c.points) > 1)
+    with pytest.raises(ValueError, match="not a cycle"):
+        h1_presentation(d).chain_coords({(c.name, 0): 1})

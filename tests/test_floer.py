@@ -14,7 +14,6 @@ import gc
 import itertools
 import random
 import weakref
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -491,10 +490,6 @@ def _no_domain(d, x, y):
     return NoDomain()
 
 
-def _half_index(r):
-    return Fraction(1, 3)
-
-
 def _rank_two(block):
     return 2, []
 
@@ -508,7 +503,6 @@ def _squares_to_identity(real):
 
 @pytest.mark.parametrize("name,value,error", [
     ("connecting_domain", _no_domain, "no unique domain within a class"),
-    ("euler_measure", _half_index, "index"),
     ("_differential", _squares_to_identity(floer._differential),
      "does not square to zero"),
     ("gf2_rank_kernel", _rank_two, "rank exceeds half the class"),
@@ -518,6 +512,39 @@ def test_homology_checks_raise_on_their_fault(monkeypatch, pants_bigon,
     monkeypatch.setattr(floer, name, value)
     with pytest.raises((AssertionError, NonIntegerIndex), match=error):
         homology(pants_bigon)
+
+
+def test_maslov_index_raises_on_a_quarter_index(pants_bigon):
+    s = diagram_index(pants_bigon)
+    s.euler4 = tuple(x + 1 for x in s.euler4)
+    with pytest.raises(NonIntegerIndex, match="index"):
+        homology(pants_bigon)
+
+
+def _doubled(d, table):
+    return [(g, tuple(2 * x for x in dom), gr) for g, dom, gr in table]
+
+
+def _shared_point_covered(d, table):
+    s = diagram_index(d)
+    s.quadrant["w"] = dict.fromkeys(s.quadrant["w"], s.region_pos["S10"])
+    return table
+
+
+@pytest.mark.parametrize("target,corrupt,error", [
+    (None, _doubled, "multiplicity above 1"),
+    ("S00", _shared_point_covered, "covered corner at a shared point"),
+])
+def test_nice_branch_raises_on_a_non_bigon_or_rectangle(
+        monkeypatch, grid_rect, target, corrupt, error):
+    """A positive index-1 domain on a nice diagram is an empty bigon or
+    rectangle (Sarkar-Wang); a corrupted table or quadrant must raise."""
+    d = hand_stabilized(grid_rect, target) if target else grid_rect
+    real = floer._domain_table
+    monkeypatch.setattr(floer, "_domain_table", lambda d, gens, members:
+                        corrupt(d, real(d, gens, members)))
+    with pytest.raises(AssertionError, match=error):
+        homology(d)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +576,9 @@ def test_smith_forms_per_diagram_do_not_grow(monkeypatch):
         calls.clear()
         homology(d)
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    # the kernel of the curve-graph boundary, the relation matrix of H1
+    # and the jump system; cycle coordinates need no Smith form
+    assert counts == [3, 3]
 
 
 def test_homology_solves_once_per_generator(monkeypatch):
