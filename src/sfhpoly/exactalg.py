@@ -13,10 +13,13 @@ cheap, so every result that feeds the calculator is still checked:
 * a unimodular inverse is refused unless the determinant is +-1;
 * an integer solve is substituted back into A x = b, and every kernel
   vector into A v = 0 (over the integers and over GF(2));
-* every input point is checked against every facet of its hull.
+* every input point is checked against every facet of its hull;
+* a hull's centroid is checked against a second triangulation, the cones
+  from it over the hull's boundary.
 
-Hulls and centroids share one placing (beneath-beyond) triangulation in
-affinely reduced coordinates: its boundary simplices give the facets and its
+A hull, its vertices and its centroid come from one placing
+(beneath-beyond) triangulation on integer coordinates in the affine hull of
+the points: its boundary simplices give the facets and the vertices, its
 full-dimensional simplices the centroid.  Matrices are rectangular lists
 of rows; vectors are tuples.
 """
@@ -24,7 +27,7 @@ of rows; vectors are tuples.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -145,16 +148,19 @@ def _integer_rows(a) -> tuple[list[list[int]], list[int]]:
     return rows, scales
 
 
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix; its rows are overwritten."""
+    pivots, last, sign = _bareiss(rows, len(rows))
+    return sign * last if len(pivots) == len(rows) else 0
+
+
 def exact_det(a: list[list[int]] | list[list[Fraction]]) -> Fraction:
     """Determinant by fraction-free elimination of the row-scaled matrix."""
     m, n = _shape(a)
     if m != n:
         raise ValueError("determinant of a non-square matrix")
     rows, scales = _integer_rows(a)
-    pivots, last, sign = _bareiss(rows, n)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * last, prod(scales))
+    return Fraction(_det(rows), prod(scales))
 
 
 def _frac_rank(rows: list[list[Fraction]]) -> int:
@@ -164,10 +170,12 @@ def _frac_rank(rows: list[list[Fraction]]) -> int:
 
 
 def _inverse(a) -> tuple[list[list[int]], int]:
-    """(X, p) with integer X and a^-1 = X / p, by Gauss-Jordan on [A | I].
+    """(X, p) with integer X, p > 0 and a^-1 = X / p, by Gauss-Jordan.
 
-    A is a scaled row by row to integers; column j of the inverse of the
-    scaled matrix is multiplied back by the scale of row j.
+    [A | I] is eliminated to [p I | X], and both change sign when the last
+    pivot p is negative.  A is scaled row by row to integers; column j of
+    the inverse of the scaled matrix is multiplied back by the scale of
+    row j.
     """
     rows, scales = _integer_rows(a)
     m, n = _shape(rows)
@@ -177,7 +185,10 @@ def _inverse(a) -> tuple[list[list[int]], int]:
     pivots, p, _ = _bareiss(w, n, jordan=True)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
-    return [[x * s for x, s in zip(row[n:], scales)] for row in w], p
+    x = [[e * s for e, s in zip(row[n:], scales)] for row in w]
+    if p < 0:
+        x, p = [[-e for e in row] for row in x], -p
+    return x, p
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +323,9 @@ def unimodular_inverse(a: list[list[int]] | tuple[tuple[int, ...], ...]) -> list
     Raises ValueError unless the matrix is square with determinant +-1.
     """
     x, p = _inverse(a)
-    if abs(p) != 1:
+    if p != 1:
         raise ValueError("matrix is not unimodular")
-    return [[e * p for e in row] for row in x]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -448,18 +459,21 @@ class EmptyInput(ValueError):
 
 @dataclass(frozen=True)
 class RatPolytope:
-    """Vertex and facet descriptions of a rational polytope.
+    """Vertex and facet descriptions of a rational polytope, and its centroid.
 
     Facets are pairs (normal, offset) with primitive integer normal; every
     point of the polytope satisfies normal . x >= offset, with equality on
     the facet.  For a hull of affine dimension dim < ambient_dim the facets
-    cut out the polytope inside its affine hull only.
+    cut out the polytope inside its affine hull only.  The centroid is that
+    of the body under uniform measure on its affine hull; the vertices
+    determine it, so it is left out of the repr.
     """
 
     ambient_dim: int
     vertices: tuple[tuple[Fraction, ...], ...]
     facets: tuple[tuple[tuple[int, ...], Fraction], ...]
     dim: int
+    centroid: tuple[Fraction, ...] = field(repr=False)
 
 
 def _as_fraction_points(points) -> list[tuple[Fraction, ...]]:
@@ -472,87 +486,76 @@ def _as_fraction_points(points) -> list[tuple[Fraction, ...]]:
     return out
 
 
-def _affine_reduce(points: list[tuple[Fraction, ...]]):
-    """Coordinates of the points inside their own affine hull.
+def _affine_reduce(pts: list[tuple[int, ...]]):
+    """Integer coordinates of integer points inside their own affine hull.
 
-    Returns (origin, basis rows B, G^-1, reduced coords, start), where
-    point = origin + coords . B exactly, G = B B^T is the Gram matrix and
-    start indexes origin = points[0] and the points origin + B_i.
+    Returns (origin, basis rows B, scale s, coords, start), all integers,
+    with s * point = origin + coords . B exactly, s the lcm of the
+    denominators of the coordinates in the basis B.  A positive scale is an
+    affine bijection, so it changes no placing, no visibility test and no
+    primitive facet.  start indexes pts[0] and the points whose differences
+    from it are the rows of B.
     """
-    origin = points[0]
-    basis: list[list[Fraction]] = []
+    origin, ambient = pts[0], len(pts[0])
+    basis: list[list[int]] = []
     start = [0]
-    for i, p in enumerate(points):
+    for i, p in enumerate(pts):
+        if len(basis) == ambient:
+            break
         delta = [x - o for x, o in zip(p, origin)]
-        if any(x != 0 for x in delta) and _frac_rank(basis + [delta]) > len(basis):
+        if any(delta) and _frac_rank(basis + [delta]) > len(basis):
             basis.append(delta)
             start.append(i)
     dim = len(basis)
     if dim == 0:
-        return origin, basis, [], [() for _ in points], start
-    # Gram solve: coords c with c . B = p - origin; B rows independent.
-    gram = [[sum(bi[k] * bj[k] for k in range(len(origin))) for bj in basis]
-            for bi in basis]
-    ginv = _frac_inverse(gram)
-    coords = []
-    for p in points:
-        delta = [x - o for x, o in zip(p, origin)]
-        rhs = [sum(b[k] * delta[k] for k in range(len(delta))) for b in basis]
-        coords.append(tuple(sum(ginv[i][j] * rhs[j] for j in range(dim))
-                            for i in range(dim)))
-    return origin, basis, ginv, coords, start
+        return origin, basis, 1, [() for _ in pts], start
+    # c . B = p - origin read off dim independent columns J of B:
+    # c = (p - origin)[J] . M^-1 with M = B[:, J] and M^-1 = X / q
+    cols = _bareiss([row[:] for row in basis], ambient)[0]
+    x, q = _inverse([[row[j] for j in cols] for row in basis])
+    coords = [_row_times([p[j] - origin[j] for j in cols], x, dim)
+              for p in pts]
+    g = gcd(q, *[c for row in coords for c in row])
+    return ([q // g * o for o in origin], basis, q // g,
+            [tuple(c // g for c in row) for row in coords], start)
 
 
-def _frac_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    x, p = _inverse(a)
-    return [[Fraction(e, p) for e in row] for row in x]
-
-
-def _primitive(normal: list[Fraction], offset: Fraction):
-    """Scale (normal, offset) to a primitive integer normal."""
-    denom = lcm(*[x.denominator for x in normal])
-    ints = [int(x * denom) for x in normal]
-    g = gcd(*ints)
-    if g == 0:
-        raise AssertionError("hull verification failed: zero facet normal")
-    return tuple(x // g for x in ints), offset * denom / g
-
-
-def _placing(coords: list[tuple[Fraction, ...]], start: list[int]):
-    """Placing triangulation of full-dimensional coords in R^dim.
+def _placing(coords: list[tuple[int, ...]], start: list[int]):
+    """Placing triangulation of full-dimensional integer coords in Z^dim.
 
     The dim + 1 affinely independent points indexed by start make the
-    first simplex; every hyperplane is oriented by its barycentre, which
-    stays strictly inside.  The other points are placed in order: a point
-    strictly beyond some boundary simplices is coned to each of them, and
-    they are replaced by the point joined to each horizon ridge, a ridge
-    met once among them (De Loera, Rambau and Santos 2010, section 4.3).
-    Returns (simplices, boundary): index tuples of the full-dimensional
-    simplices, and a map from each boundary simplex to its primitive
-    (normal, offset), normal . x >= offset on the hull.
+    first simplex; every hyperplane is oriented by dim + 1 times its
+    barycentre, which stays strictly inside.  The other points are placed
+    in order: a point strictly beyond some boundary simplices is coned to
+    each of them, and they are replaced by the point joined to each horizon
+    ridge, a ridge met once among them (De Loera, Rambau and Santos 2010,
+    section 4.3).  Returns (simplices, boundary): index tuples of the
+    full-dimensional simplices, and a map from each boundary simplex to its
+    (normal, offset, content): normal . x >= offset on the hull, with a
+    primitive inward normal that is the cofactor normal of the simplex
+    divided by content.
     """
     dim = len(start) - 1
-    inner = [sum(coords[i][j] for i in start) / (dim + 1) for j in range(dim)]
+    inner = [sum(coords[i][j] for i in start) for j in range(dim)]
 
     def hyperplane(face):
         pts = [coords[i] for i in face]
         w = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
         # normal by cofactor expansion; the empty minor of dim 1 gives (1)
-        normal = [(-1) ** j * exact_det([row[:j] + row[j + 1:] for row in w])
+        normal = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in w])
                   for j in range(dim)]
         offset = sum(map(mul, normal, pts[0]))
-        side = sum(map(mul, normal, inner)) - offset
+        side = sum(map(mul, normal, inner)) - (dim + 1) * offset
         if side == 0:
             raise AssertionError("hull verification failed: flat boundary simplex")
-        if side < 0:
-            normal, offset = [-x for x in normal], -offset
-        return _primitive(normal, offset)
+        g = gcd(*normal) if side > 0 else -gcd(*normal)
+        return tuple(x // g for x in normal), offset // g, abs(g)
 
     simplices = [tuple(start)]
     boundary = {face: hyperplane(face)
                 for face in combinations(simplices[0], dim)}
     for i, p in enumerate(coords):
-        visible = [face for face, (normal, offset) in boundary.items()
+        visible = [face for face, (normal, offset, _) in boundary.items()
                    if sum(map(mul, normal, p)) < offset]
         ridges = Counter(r for face in visible for r in combinations(face, dim - 1))
         for face in visible:
@@ -565,57 +568,96 @@ def _placing(coords: list[tuple[Fraction, ...]], start: list[int]):
     return simplices, boundary
 
 
+def _centroid(coords: list[tuple[int, ...]], simplices, boundary):
+    """(acc, k): the centroid of the placing's simplices is acc / k.
+
+    k = (dim + 1) * total, total the summed simplex volumes times dim!.
+    The cones from the centroid over the boundary simplices triangulate the
+    body a second time.  The cone over a boundary simplex has dim! times
+    the volume content * (normal . x - offset), so k times it is an integer.
+    The cone volumes must sum to total, and their volume-weighted
+    barycentres must average to the centroid.
+    """
+    dim = len(coords[0])
+    total, acc = 0, [0] * dim
+    for simplex in simplices:
+        q0 = coords[simplex[0]]
+        vol = abs(_det([[x - y for x, y in zip(coords[i], q0)]
+                        for i in simplex[1:]]))
+        total += vol
+        for j in range(dim):
+            acc[j] += vol * sum(coords[i][j] for i in simplex)
+    if total == 0:
+        raise AssertionError("hull verification failed: zero volume")
+    k = (dim + 1) * total
+    cones, moment = 0, [0] * dim
+    for face, (normal, offset, content) in boundary.items():
+        vol = content * (sum(map(mul, normal, acc)) - k * offset)
+        cones += vol
+        for j in range(dim):
+            moment[j] += vol * sum(coords[i][j] for i in face)
+    # the cones' barycentres average to acc / k when
+    # sum vol * (acc + k * sum(face)) = k^2 acc; with sum vol = k total
+    # that is moment = dim total acc
+    if cones != k * total or moment != [dim * total * x for x in acc]:
+        raise AssertionError("hull verification failed: the cones from the "
+                             "centroid do not match the placing")
+    return acc, k
+
+
 def convex_hull(points) -> RatPolytope:
-    """Exact convex hull of rational points in ambient dimension <= 8."""
+    """Exact convex hull and body centroid of rational points, ambient <= 8."""
     pts = _as_fraction_points(points)
     ambient = len(pts[0])
     if ambient > 8:
         raise ValueError("ambient dimension above the supported bound of 8")
-    pts = sorted(set(pts))
-    origin, basis, ginv, coords, start = _affine_reduce(pts)
+    # d x is an integer point for every input x
+    d = lcm(*[x.denominator for p in pts for x in p])
+    pts = sorted({tuple(x.numerator * (d // x.denominator) for x in p)
+                  for p in pts})
+    origin, basis, scale, coords, start = _affine_reduce(pts)
+    scale *= d
     dim = len(basis)
     if dim == 0:
-        return RatPolytope(ambient, (pts[0],), (), 0)
+        point = tuple(Fraction(x, d) for x in pts[0])
+        return RatPolytope(ambient, (point,), (), 0, point)
 
-    red_facets = set(_placing(coords, start)[1].values())
+    simplices, boundary = _placing(coords, start)
+    red_facets = {(normal, offset) for normal, offset, _ in boundary.values()}
+    # n . c >= off pulls back along scale x = origin + c . B: with the Gram
+    # matrix G = B B^T and G^-1 = Y / q, a = n Y B has a . (scale x - origin)
+    # = q n . c
+    y, q = _inverse([[sum(map(mul, bi, bj)) for bj in basis] for bi in basis])
     facets = set()
     for normal, offset in red_facets:
-        # reduced inequality n . c >= off pulls back along c = G^{-1} B (x - o)
-        lifted = [sum(map(mul, normal, col)) for col in zip(*ginv)]
-        amb = [sum(map(mul, lifted, col)) for col in zip(*basis)]
-        facets.add(_primitive(amb, offset + sum(map(mul, amb, origin))))
+        amb = _row_times(_row_times(normal, y, dim), basis, ambient)
+        g = gcd(*amb)
+        if g == 0:
+            raise AssertionError("hull verification failed: zero facet normal")
+        off = q * offset + sum(map(mul, amb, origin))
+        facets.add((tuple(x // g for x in amb), Fraction(off, scale * g)))
     facets = sorted(facets)
-    vertices = tuple(pts[i] for i, c in enumerate(coords)
+    vertices = tuple(tuple(Fraction(x, d) for x in pts[i])
+                     for i, c in enumerate(coords)
                      if _frac_rank([n for n, off in red_facets
                                     if sum(map(mul, n, c)) == off]) == dim)
 
     for normal, offset in facets:
+        # normal . x >= offset for x = p / d
+        num, den = offset.numerator * d, offset.denominator
         for p in pts:
-            if sum(map(mul, normal, p)) < offset:
+            if sum(map(mul, normal, p)) * den < num:
                 raise AssertionError("hull verification failed: point outside facet")
-    return RatPolytope(ambient, vertices, tuple(facets), dim)
+    acc, k = _centroid(coords, simplices, boundary)
+    centroid = tuple(Fraction(k * o + x, scale * k)
+                     for o, x in zip(origin, _row_times(acc, basis, ambient)))
+    return RatPolytope(ambient, vertices, tuple(facets), dim, centroid)
 
 
 def body_centroid(p: RatPolytope) -> tuple[Fraction, ...]:
-    """Exact centroid of the polytope body under uniform measure on its hull."""
-    if len(p.vertices) == 1:
-        return p.vertices[0]
-    origin, basis, _, coords, start = _affine_reduce(list(p.vertices))
-    dim = len(basis)
-    total = Fraction(0)
-    acc = [Fraction(0)] * dim
-    for simplex in _placing(coords, start)[0]:
-        pts = [coords[i] for i in simplex]
-        vol = abs(exact_det([[x - y for x, y in zip(q, pts[0])]
-                             for q in pts[1:]]))
-        total += vol
-        for j in range(dim):
-            acc[j] += vol * sum(q[j] for q in pts)
-    if total == 0:
-        raise AssertionError("degenerate triangulation")
-    cent = [x / (total * (dim + 1)) for x in acc]
-    out = list(origin)
-    for w, b in zip(cent, basis):
-        for k in range(len(out)):
-            out[k] += w * b[k]
-    return tuple(out)
+    """Exact centroid of the polytope body under uniform measure on its hull.
+
+    convex_hull computes it from its placing triangulation and checks it
+    against the cones from it over the placing's boundary.
+    """
+    return p.centroid

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exactalg import RatPolytope, body_centroid, convex_hull
 
@@ -87,17 +88,20 @@ def _translate(p: RatPolytope, shift: tuple[Fraction, ...]) -> RatPolytope:
     facets = tuple(
         (normal, offset + sum(n * s for n, s in zip(normal, shift)))
         for normal, offset in p.facets)
-    return RatPolytope(p.ambient_dim, vertices, facets, p.dim)
+    centroid = tuple(x + s for x, s in zip(p.centroid, shift))
+    return RatPolytope(p.ambient_dim, vertices, facets, p.dim, centroid)
 
 
 def build_polytope(s: Support) -> SfhPolytope:
+    """The hull of the support and its copy centred at its body centroid.
+
+    convex_hull checks the centroid against a second triangulation, so the
+    support is triangulated once.
+    """
     raw = convex_hull([pt for pt, _ in s.points])
-    center = body_centroid(raw)
-    centered = _translate(raw, tuple(-c for c in center))
     if len(raw.vertices) > s.total_rank:
         raise AssertionError("more hull vertices than supported generators")
-    if any(x != 0 for x in body_centroid(centered)):
-        raise AssertionError("centred polytope has a non-zero centroid")
+    centered = _translate(raw, tuple(-c for c in body_centroid(raw)))
     return SfhPolytope(raw, centered, s.ambient_dim, s.total_rank)
 
 
@@ -115,8 +119,15 @@ class FaceResult:
     face_dimension: int
 
 
+def _check_length(alpha, ambient: int) -> None:
+    if len(alpha) != ambient:
+        raise ValueError(f"class has {len(alpha)} coordinates, "
+                         f"the polytope lives in dimension {ambient}")
+
+
 def face_query(p: SfhPolytope, s: Support,
                alpha: tuple[int, ...]) -> FaceResult:
+    _check_length(alpha, s.ambient_dim)
     pairings = [(sum(c * a for c, a in zip(pt, alpha)), pt, dim)
                 for pt, dim in s.points]
     c_min = min(v for v, _, _ in pairings)
@@ -130,18 +141,23 @@ def face_query(p: SfhPolytope, s: Support,
 # semi-norms
 
 
+def _pairings(p: SfhPolytope, alpha) -> list[Fraction]:
+    """<c, alpha> for each centered vertex c."""
+    _check_length(alpha, p.b1)
+    a = [Fraction(x) for x in alpha]
+    return [sum(map(mul, a, v)) for v in p.centered.vertices]
+
+
 def seminorm_y(p: SfhPolytope, alpha) -> Fraction:
     """max of <-c, alpha> over the centered vertices."""
-    best = Fraction(0)
-    for v in p.centered.vertices:
-        val = -sum(Fraction(a) * x for a, x in zip(alpha, v))
-        best = max(best, Fraction(val))
-    return best
+    return max(Fraction(0), -min(_pairings(p, alpha)))
 
 
 def symmetrized_z(p: SfhPolytope, alpha) -> Fraction:
-    neg = tuple(-Fraction(a) for a in alpha)
-    return (seminorm_y(p, alpha) + seminorm_y(p, neg)) / 2
+    """(y(alpha) + y(-alpha)) / 2, from one pairing per vertex."""
+    pairings = _pairings(p, alpha)
+    return (max(Fraction(0), -min(pairings))
+            + max(Fraction(0), max(pairings))) / 2
 
 
 # ---------------------------------------------------------------------------

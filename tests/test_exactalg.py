@@ -27,7 +27,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sfhpoly.exactalg import (
     EmptyInput,
     LinearSolver,
-    _frac_inverse,
+    _inverse,
     _frac_rank,
     body_centroid,
     convex_hull,
@@ -245,10 +245,11 @@ def test_unimodular_inverse_of_elementary_products(m, data):
 def test_frac_inverse_matches_sympy(a):
     if to_sympy(a).det() == 0:
         with pytest.raises(ValueError):
-            _frac_inverse(a)
+            _inverse(a)
         return
-    inv = _frac_inverse(a)
-    assert to_sympy(a) * to_sympy(inv) == sympy.eye(len(a))
+    x, p = _inverse(a)
+    assert p > 0 and all(type(e) is int for row in x for e in row)
+    assert to_sympy(a) * to_sympy(x) == p * sympy.eye(len(a))
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +492,41 @@ def test_centroid_inside_random_hulls():
             poly = convex_hull(pts)
             c = body_centroid(poly)
             assert point_in_facets(c, poly)
+
+
+def test_hull_is_affine_equivariant():
+    """hull(lam P + t) is lam hull(P) + t, for lam > 0 and rational t.
+
+    Rational scales and shifts change the lcm by which the points and
+    their reduced coordinates are brought to integers.
+    """
+    rng = random.Random(11)
+
+    def rat(lo, hi, dens=(1, 2, 3, 5)):
+        return Fraction(rng.randint(lo, hi), rng.choice(dens))
+
+    for _ in range(40):
+        ambient = rng.randint(1, 4)
+        k = rng.randint(1, ambient)
+        embed = integer_embedding(rng, k, ambient)
+        base = [tuple(rat(-6, 6) for _ in range(k))
+                for _ in range(rng.randint(k + 1, 9))]
+        base += [base[0], tuple((x + y) / 2 for x, y in zip(base[0], base[1]))]
+        pts = [embed(x) for x in base]
+        lam = rat(1, 9, (1, 2, 4, 7))
+        t = tuple(rat(-9, 9, (1, 3, 4)) for _ in range(ambient))
+        poly = convex_hull(pts)
+        moved = convex_hull([tuple(lam * x + s for x, s in zip(p, t))
+                             for p in pts])
+        assert moved.dim == poly.dim
+        assert moved.vertices == tuple(tuple(lam * x + s for x, s in zip(v, t))
+                                       for v in poly.vertices)
+        assert [n for n, _ in moved.facets] == [n for n, _ in poly.facets]
+        assert [off for _, off in moved.facets] == [
+            lam * off + sum(a * s for a, s in zip(n, t))
+            for n, off in poly.facets]
+        assert body_centroid(moved) == tuple(
+            lam * x + s for x, s in zip(body_centroid(poly), t))
 
 
 def test_rectangular_check():

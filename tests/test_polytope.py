@@ -11,10 +11,12 @@ must hold for purely convex-geometric reasons.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from sfhpoly import exactalg
 from sfhpoly.floer import homology
 from sfhpoly.polytope import (
     EmptySupport,
@@ -186,3 +188,96 @@ def test_symmetric_support_z_equals_y():
     for _ in range(10):
         a = rand_alpha(rng, 2)
         assert symmetrized_z(p, a) == seminorm_y(p, a)
+
+
+def test_norms_match_their_definitions():
+    rng = random.Random(41)
+    for ambient in (1, 2, 3):
+        for _ in range(10):
+            p = build_polytope(random_support(rng, ambient))
+            a = rand_alpha(rng, ambient)
+            neg = tuple(-x for x in a)
+
+            def y(alpha):
+                return max([Fraction(0)] + [-sum(x * c for x, c in zip(alpha, v))
+                                            for v in p.centered.vertices])
+            assert seminorm_y(p, a) == y(a)
+            assert symmetrized_z(p, a) == (y(a) + y(neg)) / 2
+            assert type(seminorm_y(p, a)) is Fraction
+            assert type(symmetrized_z(p, a)) is Fraction
+
+
+@pytest.mark.parametrize("query", ["face", "y", "z"])
+def test_queries_refuse_a_class_of_the_wrong_length(grid_four_poly, query):
+    rng = random.Random(9)
+    s, p = grid_four_poly
+    two_d = random_support(rng, 2)
+    q = build_polytope(two_d)
+    for support, poly, alpha in ((s, p, (1, 1)), (s, p, ()),
+                                 (two_d, q, (1,)), (two_d, q, (1, 0, 2))):
+        with pytest.raises(ValueError):
+            if query == "face":
+                face_query(poly, support, alpha)
+            elif query == "y":
+                seminorm_y(poly, alpha)
+            else:
+                symmetrized_z(poly, alpha)
+
+
+# ---------------------------------------------------------------------------
+# one placing per polytope, checked by the cones from its centroid
+
+
+SQUARE = Support((((0, 0), 1), ((2, 0), 1), ((0, 2), 1), ((2, 2), 1)), 0)
+
+
+def test_build_polytope_places_each_support_once(monkeypatch):
+    calls = Counter()
+    for name in ("_placing", "_affine_reduce"):
+        real = getattr(exactalg, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(exactalg, name, counted)
+    rng = random.Random(13)
+    for s in [SQUARE] + [random_support(rng, 3) for _ in range(5)]:
+        calls.clear()
+        p = build_polytope(s)
+        placed = 1 if p.dim > 0 else 0
+        assert calls == Counter(_placing=placed, _affine_reduce=1)
+
+
+SEGMENT = Support((((0,), 1), ((2,), 1), ((4,), 1)), 0)
+
+
+def _dropping_the_last(simplices):
+    return simplices[:-1]
+
+
+def _repeating_the_first(simplices):
+    # the square's two triangles have equal areas: the volume still adds
+    # up, only the barycentre moves
+    return simplices[:-1] + simplices[:1]
+
+
+def _six_copies_of_the_first(simplices):
+    # six copies of [0, 1] in the segment [0, 2], centroid 1/2: the cones
+    # from 1/2 have the right first moment, only their volume is wrong
+    return simplices[:1] * 6
+
+
+@pytest.mark.parametrize("support, fault", [
+    (SQUARE, _dropping_the_last),
+    (SQUARE, _repeating_the_first),
+    (SEGMENT, _six_copies_of_the_first),
+])
+def test_cone_check_catches_a_faulty_placing(monkeypatch, support, fault):
+    real = exactalg._placing
+
+    def faulty(coords, start):
+        simplices, boundary = real(coords, start)
+        return fault(simplices), boundary
+    monkeypatch.setattr(exactalg, "_placing", faulty)
+    with pytest.raises(AssertionError, match="cones from the centroid"):
+        build_polytope(support)
