@@ -12,7 +12,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from sfhpoly import build_tpqn, emit_shd, parse_shd, run_command
+from sfhpoly import build_tpqn
+from sfhpoly.shdcli import emit_shd, parse_shd, run_command
 
 d = build_tpqn(1, 0, 6)
 text = emit_shd(d)

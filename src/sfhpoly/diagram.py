@@ -39,6 +39,10 @@ class UndecidedBeyondBound(RuntimeError):
     """Admissibility search refused: periodic lattice rank above the bound."""
 
 
+# is_admissible refuses a periodic lattice of higher rank
+MAX_LATTICE_RANK = 6
+
+
 # ---------------------------------------------------------------------------
 # data types
 
@@ -341,18 +345,20 @@ class _Scan:
         return tuple(full)
 
     @cached_property
-    def jump(self) -> tuple[list[tuple[str, str, str]], LinearSolver]:
+    def jump(self) -> tuple[list[tuple[int, str]], LinearSolver]:
         """Arc-jump constancy equations over interior regions, factorized.
 
         One row per (curve, point); the row says that the multiplicity jump
         across the arc before the point equals the jump across the arc after
-        it.  Returns (meta, solver) with meta[i] = (curve kind, curve name,
-        point).  An interior region has an arc on its boundary, so there are
-        rows whenever there are interior regions.
+        it.  Returns (meta, solver) with meta[i] = (sign, point), sign +1 on
+        an alpha row and -1 on a beta row: a domain from x to y jumps by
+        sign * ((point in y) - (point in x)) there.  An interior region has
+        an arc on its boundary, so there are rows whenever there are
+        interior regions.
         """
         col = {ri: j for j, ri in enumerate(self.interior)}
         rows: list[list[int]] = []
-        meta: list[tuple[str, str, str]] = []
+        meta: list[tuple[int, str]] = []
         for c in self.d.curves:
             npts = len(c.points)
             for k, p in enumerate(c.points):
@@ -365,7 +371,7 @@ class _Scan:
                         if ri is not None and ri in col:
                             row[col[ri]] += sign * coeff
                 rows.append(row)
-                meta.append((c.kind, c.name, p))
+                meta.append((1 if c.kind == "alpha" else -1, p))
         return meta, LinearSolver(rows)
 
     @cached_property
@@ -511,14 +517,18 @@ def _fm_witness(ineqs: list[tuple[list[Fraction], Fraction]],
     return sol
 
 
-def is_admissible(d: Diagram, max_rank: int = 6) -> AdmissibilityResult:
-    """True iff every nonzero periodic domain has mixed signs."""
+def is_admissible(d: Diagram) -> AdmissibilityResult:
+    """True iff every nonzero periodic domain has mixed signs.
+
+    The search is refused above a periodic lattice rank of MAX_LATTICE_RANK.
+    """
     lattice = periodic_lattice(d)
     r = lattice.rank
     if r == 0:
         return AdmissibilityResult(True, None)
-    if r > max_rank:
-        raise UndecidedBeyondBound(f"periodic lattice rank {r} > {max_rank}")
+    if r > MAX_LATTICE_RANK:
+        raise UndecidedBeyondBound(
+            f"periodic lattice rank {r} > {MAX_LATTICE_RANK}")
     if r == 1:
         vec = lattice.basis[0]
         if all(x >= 0 for x in vec):
@@ -618,7 +628,6 @@ class H1Presentation:
 
     generator_count: int
     relation_matrix: tuple[tuple[int, ...], ...]
-    normal_form: object             # SNFResult of the relation matrix
     b1: int
     torsion: tuple[int, ...]
     _cycles: _CycleCoords
@@ -730,7 +739,7 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
     if not relations and gen_count:
         relations = [[0] * gen_count]
     if gen_count == 0:
-        return H1Presentation(0, (), None, 0, (), cycles, (), (), (), ())
+        return H1Presentation(0, (), 0, (), cycles, (), (), (), ())
 
     snf = smith_normal_form(relations)
     diag = list(snf.diagonal) + [0] * (gen_count - len(snf.diagonal))
@@ -742,7 +751,6 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
     return H1Presentation(
         generator_count=gen_count,
         relation_matrix=tuple(tuple(r) for r in relations),
-        normal_form=snf,
         b1=b1,
         torsion=torsion,
         _cycles=cycles,

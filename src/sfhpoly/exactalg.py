@@ -4,9 +4,10 @@ Everything runs over Python ints and fractions.Fraction; no floats.  One
 fraction-free elimination routine, `_bareiss`, is the core under every
 determinant, rank and inverse: Bareiss's integer-preserving Gaussian
 elimination (Bareiss 1968), optionally clearing above the pivot too
-(Gauss-Jordan).  Rational matrices are first scaled row by row to integers
-and the scales are divided back out of the result.  That keeps checking
-cheap, so every result that feeds the calculator is still checked:
+(Gauss-Jordan).  The core takes integer matrices only: it works on a copy
+and raises TypeError on any other entry.  Rational points reach it only
+through convex_hull, which scales them to integers first.  That keeps
+checking cheap, so every result that feeds the calculator is still checked:
 
 * a Smith normal form is re-multiplied (U A V = D), its diagonal shape and
   divisibility chain are checked, and |det U| = |det V| = 1 is confirmed;
@@ -30,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 
@@ -134,18 +135,19 @@ def _bareiss(w: list[list[int]], ncols: int,
     return pivots, prev, sign
 
 
-def _integer_rows(a) -> tuple[list[list[int]], list[int]]:
-    """Each row of a rational matrix times the lcm of its denominators.
+def _int_rows(a) -> list[list[int]]:
+    """A copy of the matrix a, whose entries must all be ints.
 
-    Returns (integer rows, scales); ints pass through with scale 1.
+    Floor division on any other entry type (a Fraction, say) would give a
+    wrong result without an error, so it is refused with TypeError.
     """
-    rows, scales = [], []
-    for row in a:
-        s = lcm(*[x.denominator for x in row])
-        rows.append([x.numerator * (s // x.denominator) for x in row]
-                    if s > 1 else [x.numerator for x in row])
-        scales.append(s)
-    return rows, scales
+    rows = [list(row) for row in a]
+    for row in rows:
+        for x in row:
+            if not isinstance(x, int):
+                raise TypeError(f"exact elimination takes ints, got "
+                                f"{type(x).__name__}")
+    return rows
 
 
 def _det(rows: list[list[int]]) -> int:
@@ -154,30 +156,28 @@ def _det(rows: list[list[int]]) -> int:
     return sign * last if len(pivots) == len(rows) else 0
 
 
-def exact_det(a: list[list[int]] | list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction-free elimination of the row-scaled matrix."""
-    m, n = _shape(a)
+def exact_det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    rows = _int_rows(a)
+    m, n = _shape(rows)
     if m != n:
         raise ValueError("determinant of a non-square matrix")
-    rows, scales = _integer_rows(a)
-    return Fraction(_det(rows), prod(scales))
+    return _det(rows)
 
 
-def _frac_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a list of rational row vectors."""
-    w, _ = _integer_rows(rows)
-    return len(_bareiss(w, len(w[0]) if w else 0)[0])
+def _rank(a: list[list[int]]) -> int:
+    """Rank of a list of integer row vectors."""
+    rows = _int_rows(a)
+    return len(_bareiss(rows, len(rows[0]) if rows else 0)[0])
 
 
 def _inverse(a) -> tuple[list[list[int]], int]:
     """(X, p) with integer X, p > 0 and a^-1 = X / p, by Gauss-Jordan.
 
     [A | I] is eliminated to [p I | X], and both change sign when the last
-    pivot p is negative.  A is scaled row by row to integers; column j of
-    the inverse of the scaled matrix is multiplied back by the scale of
-    row j.
+    pivot p is negative.
     """
-    rows, scales = _integer_rows(a)
+    rows = _int_rows(a)
     m, n = _shape(rows)
     if m != n:
         raise ValueError("inverse of a non-square matrix")
@@ -185,7 +185,7 @@ def _inverse(a) -> tuple[list[list[int]], int]:
     pivots, p, _ = _bareiss(w, n, jordan=True)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
-    x = [[e * s for e, s in zip(row[n:], scales)] for row in w]
+    x = [row[n:] for row in w]
     if p < 0:
         x, p = [[-e for e in row] for row in x], -p
     return x, p
@@ -394,23 +394,16 @@ class LinearSolver:
 # linear algebra over the two-element field
 
 
-def gf2_rank_kernel(a: list[list[int]],
-                    cols: int | None = None) -> tuple[int, list[tuple[int, ...]]]:
+def gf2_rank_kernel(a: list[list[int]]) -> tuple[int, list[tuple[int, ...]]]:
     """(rank, kernel basis) of a matrix over GF(2).
 
-    Rows are lists of ints reduced mod 2; `cols` is only needed when the
-    matrix has no rows.  Internally rows become bitmasks with bit j = col j.
+    Rows are lists of ints reduced mod 2.  A matrix with no rows has no
+    column count, so it is refused with ValueError.  Internally rows become
+    bitmasks with bit j = col j.
     """
-    m = len(a)
-    if m:
-        n = len(a[0])
-        for row in a:
-            if len(row) != n:
-                raise ValueError("matrix is not rectangular")
-    else:
-        if cols is None:
-            raise ValueError("column count required for an empty matrix")
-        n = cols
+    if not a:
+        raise ValueError("column count unknown for a matrix with no rows")
+    _, n = _shape(a)
     masks = []
     for row in a:
         bits = 0
@@ -450,7 +443,7 @@ def gf2_rank_kernel(a: list[list[int]],
 
 
 # ---------------------------------------------------------------------------
-# exact convex hulls in low ambient dimension
+# exact convex hulls
 
 
 class EmptyInput(ValueError):
@@ -503,7 +496,7 @@ def _affine_reduce(pts: list[tuple[int, ...]]):
         if len(basis) == ambient:
             break
         delta = [x - o for x, o in zip(p, origin)]
-        if any(delta) and _frac_rank(basis + [delta]) > len(basis):
+        if any(delta) and _rank(basis + [delta]) > len(basis):
             basis.append(delta)
             start.append(i)
     dim = len(basis)
@@ -606,11 +599,13 @@ def _centroid(coords: list[tuple[int, ...]], simplices, boundary):
 
 
 def convex_hull(points) -> RatPolytope:
-    """Exact convex hull and body centroid of rational points, ambient <= 8."""
+    """Exact convex hull and body centroid of rational points.
+
+    The placing runs in the affine hull of the points, so the ambient
+    dimension is not bounded.
+    """
     pts = _as_fraction_points(points)
     ambient = len(pts[0])
-    if ambient > 8:
-        raise ValueError("ambient dimension above the supported bound of 8")
     # d x is an integer point for every input x
     d = lcm(*[x.denominator for p in pts for x in p])
     pts = sorted({tuple(x.numerator * (d // x.denominator) for x in p)
@@ -639,8 +634,8 @@ def convex_hull(points) -> RatPolytope:
     facets = sorted(facets)
     vertices = tuple(tuple(Fraction(x, d) for x in pts[i])
                      for i, c in enumerate(coords)
-                     if _frac_rank([n for n, off in red_facets
-                                    if sum(map(mul, n, c)) == off]) == dim)
+                     if _rank([n for n, off in red_facets
+                               if sum(map(mul, n, c)) == off]) == dim)
 
     for normal, offset in facets:
         # normal . x >= offset for x = p / d

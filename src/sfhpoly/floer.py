@@ -5,6 +5,10 @@ the points lie on pairwise distinct beta curves.  The difference class
 eps(x, y) is the H1 coset of the 1-cycle built from forward paths along
 alpha curves minus forward paths along beta curves; it vanishes exactly
 when an integer domain connects x to y (boundary regions pinned to 0).
+Both eps and the connecting domain are read off the two point sets:
+each path runs between the indices that the context's point_alpha /
+point_beta tables give x's and y's points, and the jump system's
+right-hand side at a point is +-((point in y) - (point in x)).
 
 Each class gets one domain table: D(a, g) for its first member a and
 every member g, one solve each, and the grading gr(g) = -mu(D(a, g)).
@@ -64,12 +68,6 @@ class Generator:
     def points(self) -> tuple[str, ...]:
         return tuple(p for _, p in self.matching)
 
-    def point_on(self, curve: str) -> str:
-        for c, p in self.matching:
-            if c == curve:
-                return p
-        raise KeyError(curve)
-
     def __str__(self) -> str:
         return "{" + ",".join(self.points) + "}"
 
@@ -100,10 +98,6 @@ def enumerate_generators(d: Diagram) -> tuple[Generator, ...]:
     return tuple(out)
 
 
-def _beta_points(s, g: Generator) -> dict[str, str]:
-    return {s.point_beta[p][0]: p for p in g.points}
-
-
 # ---------------------------------------------------------------------------
 # class partition via eps
 
@@ -111,22 +105,16 @@ def _beta_points(s, g: Generator) -> dict[str, str]:
 def epsilon(d: Diagram, x: Generator, y: Generator) -> tuple[int, ...]:
     """Normalized H1 coset separating x from y (zero iff same class)."""
     s = diagram_index(d)
-    xb, yb = _beta_points(s, x), _beta_points(s, y)
     chain: dict = {}
-
-    def add_path(curve, start: str, stop: str, coeff: int) -> None:
-        n = len(curve.points)
-        k = curve.points.index(start)
-        stop_i = curve.points.index(stop)
-        while k != stop_i:
-            key = (curve.name, k)
-            chain[key] = chain.get(key, 0) + coeff
-            k = (k + 1) % n
-
-    for c in d.alpha_curves:
-        add_path(c, x.point_on(c.name), y.point_on(c.name), 1)
-    for c in d.beta_curves:
-        add_path(c, xb[c.name], yb[c.name], -1)
+    for table, coeff in ((s.point_alpha, 1), (s.point_beta, -1)):
+        # x and y have one point on each curve, so sorting by curve pairs them
+        starts = sorted(map(table.__getitem__, x.points))
+        stops = sorted(map(table.__getitem__, y.points))
+        for (name, k), (_, stop) in zip(starts, stops):
+            n = len(s.curve_by_name[name].points)
+            while k != stop:
+                chain[name, k] = coeff
+                k = (k + 1) % n
     return s.h1.reduce_chain(chain)
 
 
@@ -182,16 +170,8 @@ def connecting_domain(d: Diagram, x: Generator,
     """
     s = diagram_index(d)
     meta, solver = s.jump
-    xa, ya = dict(x.matching), dict(y.matching)
-    xb, yb = _beta_points(s, x), _beta_points(s, y)
-    rhs = []
-    for kind, cname, p in meta:
-        if kind == "alpha":
-            r = ((ya.get(cname) == p) - (xa.get(cname) == p))
-        else:
-            r = ((xb.get(cname) == p) - (yb.get(cname) == p))
-        rhs.append(r)
-    sol = solver.solve(rhs)
+    xs, ys = set(x.points), set(y.points)
+    sol = solver.solve([sign * ((p in ys) - (p in xs)) for sign, p in meta])
     if sol is None:
         return NoDomain()
     if s.lattice.rank:

@@ -29,6 +29,7 @@ from sfhpoly.diagram import (
     periodic_lattice,
     validate,
 )
+from sfhpoly import diagram
 from sfhpoly.builders import build_base, build_elementary_piece, build_tpqn
 from sfhpoly.exactalg import LinearSolver, integer_kernel_basis, \
     smith_normal_form
@@ -209,9 +210,10 @@ def test_not_admissible_positive_generator(annulus_slack, grid_adjacent):
         assert all(x >= 0 for x in res.witness)
 
 
-def test_admissible_beyond_bound(annulus_isotopic):
+def test_admissible_beyond_bound(annulus_isotopic, monkeypatch):
+    monkeypatch.setattr(diagram, "MAX_LATTICE_RANK", 0)
     with pytest.raises(UndecidedBeyondBound):
-        is_admissible(annulus_isotopic, max_rank=0)
+        is_admissible(annulus_isotopic)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -28,7 +28,7 @@ from sfhpoly.exactalg import (
     EmptyInput,
     LinearSolver,
     _inverse,
-    _frac_rank,
+    _rank,
     body_centroid,
     convex_hull,
     exact_det,
@@ -105,17 +105,24 @@ def square(size, elements):
                            min_size=n, max_size=n))
 
 
+def cleared(a):
+    """Each row of a rational matrix times the lcm of its denominators."""
+    return [[int(x * lcm(*[y.denominator for y in row])) for x in row]
+            for row in a]
+
+
 @st.composite
 def low_rank(draw):
-    """An m x n rational matrix L R with inner size k, so rank <= k."""
+    """An m x n integer matrix: rows of L R cleared, with inner size k,
+    so rank <= k."""
     m, n, k = draw(st.integers(1, 6)), draw(st.integers(1, 6)), \
         draw(st.integers(0, 4))
     left = draw(st.lists(st.lists(rationals, min_size=k, max_size=k),
                          min_size=m, max_size=m))
     right = draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
                           min_size=k, max_size=k))
-    return [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0))
-             for j in range(n)] for i in range(m)]
+    return cleared([[sum((left[i][t] * right[t][j] for t in range(k)),
+                         Fraction(0)) for j in range(n)] for i in range(m)])
 
 
 @st.composite
@@ -211,14 +218,29 @@ def test_det_matches_sympy_on_integers(a):
 
 @settings(max_examples=80, deadline=None)
 @given(square(4, rationals))
-def test_det_matches_sympy_on_fractions(a):
+def test_det_matches_sympy_on_cleared_rationals(a):
+    # a rational matrix with each row times the lcm of its denominators:
+    # integers with large minors
+    a = cleared(a)
     assert exact_det(a) == as_fraction(to_sympy(a).det())
 
 
 @settings(max_examples=80, deadline=None)
 @given(low_rank())
 def test_rank_matches_sympy(a):
-    assert _frac_rank(a) == to_sympy(a).rank()
+    assert _rank(a) == to_sympy(a).rank()
+
+
+def test_elimination_core_refuses_non_ints():
+    half = [[Fraction(1, 2), 0], [0, 2]]
+    for fn in (exact_det, _rank, _inverse):
+        with pytest.raises(TypeError):
+            fn(half)
+    assert half == [[Fraction(1, 2), 0], [0, 2]]
+    # the core works on a copy of an integer matrix
+    a = [[0, 1], [2, 3]]
+    assert exact_det(a) == -2 and _rank(a) == 2 and _inverse(a)[1] == 2
+    assert a == [[0, 1], [2, 3]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,8 +263,8 @@ def test_unimodular_inverse_of_elementary_products(m, data):
 
 
 @settings(max_examples=80, deadline=None)
-@given(square(4, rationals))
-def test_frac_inverse_matches_sympy(a):
+@given(square(4, entries))
+def test_inverse_matches_sympy(a):
     if to_sympy(a).det() == 0:
         with pytest.raises(ValueError):
             _inverse(a)
@@ -315,9 +337,8 @@ def test_gf2_repeated_row():
     assert rank == 1 and kernel == [(1, 1)]
 
 
-def test_gf2_empty_matrix_needs_cols():
-    rank, kernel = gf2_rank_kernel([], cols=2)
-    assert rank == 0 and len(kernel) == 2
+def test_gf2_empty_matrix_refused():
+    # a matrix with no rows has no column count
     with pytest.raises(ValueError):
         gf2_rank_kernel([])
 
@@ -374,6 +395,16 @@ def test_hull_random_rational_3d():
     for v in poly.vertices:
         others = [p for p in pts if p != v]
         assert not point_in_facets(v, convex_hull(others)) or v in others
+
+
+def test_hull_in_ambient_dimension_above_eight():
+    # a triangle with an inner point, embedded in Z^10
+    corners = [tuple(3 * (i == j) for i in range(10)) for j in range(3)]
+    inner = tuple(int(i < 3) for i in range(10))
+    poly = convex_hull(corners + [inner])
+    assert poly.dim == 2 and poly.ambient_dim == 10
+    assert sorted(poly.vertices) == sorted(corners)
+    assert body_centroid(poly) == inner
 
 
 def test_hull_idempotent():

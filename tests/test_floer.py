@@ -21,7 +21,8 @@ import pytest
 from sfhpoly import diagram, exactalg, floer
 from sfhpoly.builders import (build_base, build_elementary_piece, build_tpqn,
                               stabilize)
-from sfhpoly.diagram import Curve, Diagram, Region, diagram_index
+from sfhpoly.diagram import (Curve, Diagram, Region, diagram_index,
+                             h1_presentation)
 from sfhpoly.floer import (
     DifferentialUndetermined,
     Domain,
@@ -41,6 +42,7 @@ from sfhpoly.floer import (
     partition_spinc,
 )
 from conftest import seg, torus_grid
+from test_diagram import PROPERTY_POOL
 
 
 @pytest.fixture
@@ -87,7 +89,7 @@ def hand_stabilized(d: Diagram, target: str) -> Diagram:
 def test_generators_core(pants_bigon):
     gens = enumerate_generators(pants_bigon)
     assert [g.matching for g in gens] == [((("a", "u")),), (("a", "v"),)]
-    assert gens[0].points == ("u",) and gens[0].point_on("a") == "u"
+    assert gens[0].points == ("u",)
 
 
 def test_generators_grid(grid_rect):
@@ -127,10 +129,47 @@ def test_two_classes_grid_four(grid_four):
     assert any(assigns[1].coset_rep)
 
 
+def _epsilon_reference(d: Diagram, x, y) -> tuple[int, ...]:
+    """eps(x, y) by the chain walk: every curve is walked through its own
+    point list from x's point to y's, alpha paths minus beta paths."""
+    beta_of = {p: c.name for c in d.beta_curves for p in c.points}
+    xa, ya = dict(x.matching), dict(y.matching)
+    xb = {beta_of[p]: p for p in x.points}
+    yb = {beta_of[p]: p for p in y.points}
+    chain: dict = {}
+
+    def add_path(curve: Curve, start: str, stop: str, coeff: int) -> None:
+        k, stop_i = curve.points.index(start), curve.points.index(stop)
+        while k != stop_i:
+            chain[curve.name, k] = chain.get((curve.name, k), 0) + coeff
+            k = (k + 1) % len(curve.points)
+
+    for c in d.alpha_curves:
+        add_path(c, xa[c.name], ya[c.name], 1)
+    for c in d.beta_curves:
+        add_path(c, xb[c.name], yb[c.name], -1)
+    return h1_presentation(d).reduce_chain(chain)
+
+
+EPSILON_POOL = dict(PROPERTY_POOL)
+EPSILON_POOL.update({
+    "T(1,0;10)": lambda: build_tpqn(1, 0, 10),
+    "grid_rect_hand_stabilized_S10": lambda: hand_stabilized(
+        torus_grid(("S00", "S01", "S11")), "S10"),
+})
+
+
+@pytest.mark.parametrize("name", EPSILON_POOL)
+def test_epsilon_matches_chain_walk_reference(name):
+    d = EPSILON_POOL[name]()
+    gens = enumerate_generators(d)
+    for x, y in itertools.product(gens, repeat=2):
+        assert epsilon(d, x, y) == _epsilon_reference(d, x, y)
+
+
 def test_epsilon_cocycle(pants_bigon, grid_rect, grid_four, grid_diag):
     for d in (pants_bigon, grid_rect, grid_four, grid_diag):
         gens = enumerate_generators(d)
-        from sfhpoly.diagram import h1_presentation
         h1 = h1_presentation(d)
         for x, y, z in itertools.product(gens, repeat=3):
             lhs = tuple(a + b - c for a, b, c in

@@ -312,6 +312,18 @@ def test_polytope_report(tmp_path):
     assert data["ok"] is False and data["total_rank"] == 0
 
 
+def test_polytope_beyond_eight_dimensions(tmp_path):
+    # genus 5 on one region adds ten free H1 generators, so b1 = 11
+    f = tmp_path / "high.shd"
+    f.write_text(emit_shd(build_tpqn(1, 0, 4)).replace("genus 0", "genus 5",
+                                                       1))
+    rc, text = run(["--json", "polytope", str(f)])
+    assert rc == 0 and json.loads(text)["b1"] == 11
+    for cmd in ("face", "norm"):
+        rc, text = run([cmd, str(f), "--class", ",".join(["1"] * 11)])
+        assert rc == 0, text
+
+
 @pytest.mark.parametrize("cmd", ["face", "norm"])
 def test_empty_support_query(tmp_path, pants_bigon, cmd):
     f = tmp_path / "pants.shd"
