@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import lcm
 
 from .exactalg import LinearSolver, integer_kernel_basis, mat_vec, \
     smith_normal_form, unimodular_inverse, vec_mat
@@ -548,9 +548,7 @@ def is_admissible(d: Diagram) -> AdmissibilityResult:
         if sol is not None:
             witness = [sum(sol[i] * lattice.basis[i][k] for i in range(r))
                        for k in range(nreg)]
-            denom = 1
-            for x in witness:
-                denom = denom * x.denominator // gcd(denom, x.denominator)
+            denom = lcm(*(x.denominator for x in witness))
             out = tuple(int(x * denom) for x in witness)
             if not (all(x >= 0 for x in out) and any(out)):
                 raise AssertionError("admissibility witness is not a "

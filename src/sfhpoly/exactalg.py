@@ -13,7 +13,9 @@ checking cheap, so every result that feeds the calculator is still checked:
   divisibility chain are checked, and |det U| = |det V| = 1 is confirmed;
 * a unimodular inverse is refused unless the determinant is +-1;
 * an integer solve is substituted back into A x = b, and every kernel
-  vector into A v = 0 (over the integers and over GF(2));
+  vector into A v = 0;
+* a GF(2) rank of bitmask rows is certified both ways: its echelon rows
+  have distinct lowest set bits, and every input row reduces to zero;
 * every input point is checked against every facet of its hull;
 * a hull's centroid is checked against a second triangulation, the cones
   from it over the hull's boundary.
@@ -394,52 +396,38 @@ class LinearSolver:
 # linear algebra over the two-element field
 
 
-def gf2_rank_kernel(a: list[list[int]]) -> tuple[int, list[tuple[int, ...]]]:
-    """(rank, kernel basis) of a matrix over GF(2).
+def _gf2_reduce(bits: int, lead: dict[int, int]) -> int:
+    """bits reduced by the rows of lead, keyed by their lowest set bits."""
+    while bits and (low := bits & -bits) in lead:
+        bits ^= lead[low]
+    return bits
 
-    Rows are lists of ints reduced mod 2.  A matrix with no rows has no
-    column count, so it is refused with ValueError.  Internally rows become
-    bitmasks with bit j = col j.
+
+def gf2_rank_kernel(rows: list[int]) -> int:
+    """Rank over GF(2) of bitmask rows, bit j of a row being its column j.
+
+    Each row is reduced against the echelon rows kept so far and kept if
+    anything is left, so every echelon row is a sum of input rows.  The rank
+    is certified both ways: the echelon rows have distinct lowest set bits,
+    so they are independent, and every input row reduces to zero against
+    them, so they span the rows.  No rows have rank 0.
     """
-    if not a:
-        raise ValueError("column count unknown for a matrix with no rows")
-    _, n = _shape(a)
-    masks = []
-    for row in a:
-        bits = 0
-        for j, x in enumerate(row):
-            if x & 1:
-                bits |= 1 << j
-        masks.append(bits)
-
-    pivots: dict[int, int] = {}          # column -> reduced row mask
-    for bits in masks:
-        for c, prow in pivots.items():
-            if bits >> c & 1:
-                bits ^= prow
-        if bits:
-            c = (bits & -bits).bit_length() - 1
-            for cc in list(pivots):
-                if pivots[cc] >> c & 1:
-                    pivots[cc] ^= bits
-            pivots[c] = bits
-    rank = len(pivots)
-
-    kernel = []
-    for f in range(n):
-        if f in pivots:
-            continue
-        vec = [0] * n
-        vec[f] = 1
-        for c, prow in pivots.items():
-            if prow >> f & 1:
-                vec[c] = 1
-        kernel.append(tuple(vec))
-    for vec in kernel:
-        for row in a:
-            if sum(x * y for x, y in zip(row, vec)) % 2 != 0:
-                raise AssertionError("GF(2) kernel verification failed")
-    return rank, kernel
+    for bits in rows:
+        if not isinstance(bits, int) or bits < 0:
+            raise TypeError(f"GF(2) rows are non-negative int bitmasks, "
+                            f"got {bits!r}")
+    echelon: list[int] = []
+    lead: dict[int, int] = {}
+    for bits in rows:
+        if bits := _gf2_reduce(bits, lead):
+            echelon.append(bits)
+            lead[bits & -bits] = bits
+    lead = {row & -row: row for row in echelon}
+    if len(lead) < len(echelon) or 0 in lead:
+        raise AssertionError("GF(2) echelon rows share a lowest set bit")
+    if any(_gf2_reduce(bits, lead) for bits in rows):
+        raise AssertionError("GF(2) echelon rows do not span the input rows")
+    return len(echelon)
 
 
 # ---------------------------------------------------------------------------

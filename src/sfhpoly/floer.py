@@ -20,17 +20,19 @@ index-1 domain there is an empty embedded bigon or rectangle, with one
 holomorphic representative.  That is checked, not assumed: a domain with
 a multiplicity above 1, with other than one or two moved coordinates,
 or covering a corner at a point x and y share raises AssertionError.
-d^2 = 0 is checked on each class block.  On any other diagram the
-absence of such a pair certifies d = 0, and a pair is reported as
-undetermined rather than guessed.
+On any other diagram the absence of such a pair certifies d = 0, and a
+pair is reported as undetermined rather than guessed.
+
+The differential is one sparse form, the pairs (i, j) with an x_i -> x_j
+entry.  homology groups them by class into bitmask rows per class block,
+checks d^2 = 0 on each block and takes its certified GF(2) rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
-from operator import mul, xor
+from operator import mul
 
 from .diagram import (
     Diagram,
@@ -207,9 +209,9 @@ def maslov_index(d: Diagram, dom: Domain, x: Generator, y: Generator) -> int:
 
 @dataclass(frozen=True)
 class Exact:
-    """Differential matrix over GF(2); matrix[i][j] is the x_i -> x_j entry."""
+    """Sorted pairs (i, j), one per x_i -> x_j entry of d over GF(2)."""
 
-    matrix: tuple[tuple[int, ...], ...]
+    entries: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -275,14 +277,12 @@ def _differential(d: Diagram, gens: tuple[Generator, ...],
                 f"rectangle")
     if not nice:
         return tables, ZeroCertificate()
-    n = len(gens)
-    return tables, Exact(tuple(tuple(int((i, j) in ones) for j in range(n))
-                               for i in range(n)))
+    return tables, Exact(tuple(sorted(ones)))
 
 
 def differential(d: Diagram, gens: tuple[Generator, ...],
                  assignments: tuple[SpinAssignment, ...]):
-    """Exact matrix on nice diagrams, else ZeroCertificate or Undetermined."""
+    """Exact entries on nice diagrams, else ZeroCertificate or Undetermined."""
     return _differential(d, gens, assignments)[1]
 
 
@@ -323,11 +323,15 @@ class SFHTable:
         return sum(self.dims)
 
 
-def _assert_square_zero(block) -> None:
-    """d^2 = 0 on one class block, with the rows as GF(2) bit masks."""
-    masks = [sum(v << j for j, v in enumerate(row)) for row in block]
-    for row in block:
-        if reduce(xor, (m for m, v in zip(masks, row) if v), 0):
+def _assert_square_zero(rows: list[int]) -> None:
+    """d^2 = 0 on one class block, its rows GF(2) bitmasks over the block."""
+    for bits in rows:
+        acc = 0
+        while bits:
+            low = bits & -bits
+            acc ^= rows[low.bit_length() - 1]
+            bits ^= low
+        if acc:
             raise AssertionError("differential does not square to zero")
 
 
@@ -341,14 +345,17 @@ def homology(d: Diagram) -> SFHTable:
     tables, res = _differential(d, gens, assignments)
     if isinstance(res, Undetermined):
         raise DifferentialUndetermined("no combinatorial count applies")
+    # each class block's rows as bitmasks over its members' positions; a
+    # zero certificate is the differential with no entries
+    local = {g: k for table in tables for k, (g, _, _) in enumerate(table)}
+    blocks = [[0] * len(table) for table in tables]
+    for i, j in res.entries if isinstance(res, Exact) else ():
+        blocks[assignments[i].class_id][local[i]] |= 1 << local[j]
     rows = []
-    for cid, entries in enumerate(tables):
-        members, _, grads = zip(*entries)
-        rank = 0
-        if isinstance(res, Exact):
-            sub = [[res.matrix[i][j] for j in members] for i in members]
-            _assert_square_zero(sub)
-            rank, _ = gf2_rank_kernel(sub)
+    for cid, (table, block) in enumerate(zip(tables, blocks)):
+        members, _, grads = zip(*table)
+        _assert_square_zero(block)
+        rank = gf2_rank_kernel(block)
         count = len(members)
         dim = count - 2 * rank
         if dim < 0:

@@ -84,28 +84,36 @@ def pants_bigon() -> Diagram:
     )
 
 
-def torus_grid(punctured: tuple[str, ...]) -> Diagram:
-    """2x2 grid on the torus; the named squares get one puncture each.
+def torus_grid(punctured: tuple[str, ...], n: int = 2) -> Diagram:
+    """n x n grid on the torus; the named squares get one puncture each.
 
-    Square Sij runs +a_i.j, +b_{j+1}.i, -a_{i+1}.j, -b_j.i (indices mod 2).
+    Square Sij runs +a_i.j, +b_{j+1}.i, -a_{i+1}.j, -b_j.i (indices mod n).
+    Puncturing Sii and S_i,i+k for every i gives the grid diagram G(n, k)
+    of a knot with 2n meridional sutures.
     """
-    alphas = tuple(Curve("alpha", f"a{i}", (f"p{i}0", f"p{i}1"))
-                   for i in range(2))
-    betas = tuple(Curve("beta", f"b{j}", (f"p0{j}", f"p1{j}"))
-                  for j in range(2))
+    alphas = tuple(Curve("alpha", f"a{i}", tuple(f"p{i}{j}" for j in range(n)))
+                   for i in range(n))
+    betas = tuple(Curve("beta", f"b{j}", tuple(f"p{i}{j}" for i in range(n)))
+                  for j in range(n))
     circles = tuple(f"s{k}" for k in range(len(punctured)))
     by_square = {name: f"s{k}" for k, name in enumerate(punctured)}
     regions = []
-    for i in range(2):
-        for j in range(2):
+    for i in range(n):
+        for j in range(n):
             name = f"S{i}{j}"
-            walk = (seg(f"a{i}", j, +1), seg(f"b{(j + 1) % 2}", i, +1),
-                    seg(f"a{(i + 1) % 2}", j, -1), seg(f"b{j}", i, -1))
+            walk = (seg(f"a{i}", j, +1), seg(f"b{(j + 1) % n}", i, +1),
+                    seg(f"a{(i + 1) % n}", j, -1), seg(f"b{j}", i, -1))
             cycles: tuple = (walk,)
             if name in by_square:
                 cycles = (walk, by_square[name])
             regions.append(Region(name, 0, cycles))
     return Diagram(alphas, betas, circles, tuple(regions))
+
+
+def grid_knot(n: int, k: int) -> Diagram:
+    """G(n, k): the n x n torus grid punctured at Sii and S_i,i+k."""
+    return torus_grid(tuple(f"S{i}{j}" for i in range(n)
+                            for j in sorted({i, (i + k) % n})), n)
 
 
 @pytest.fixture

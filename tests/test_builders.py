@@ -124,7 +124,7 @@ def test_base_homology():
     gens = enumerate_generators(d)
     diff = differential(d, gens, partition_spinc(d, gens))
     assert isinstance(diff, Exact)
-    assert all(not any(row) for row in diff.matrix)
+    assert not diff.entries
 
 
 def test_base_epsilon_steps():
@@ -219,7 +219,7 @@ def test_tpqn_nice_cases():
         gens = enumerate_generators(d)
         diff = differential(d, gens, partition_spinc(d, gens))
         assert isinstance(diff, Exact)
-        assert all(not any(row) for row in diff.matrix)
+        assert not diff.entries
 
 
 def test_tpqn_zero_certificate():

@@ -5,7 +5,8 @@ Oracles used here:
     each minor taken by sympy); the product d_1 ... d_k of invariant factors
     must equal the k-th divisor.  Also sympy's own Smith normal form.
   * determinants, ranks and inverses -> sympy's exact Matrix arithmetic.
-  * GF(2) kernels      -> naive list-of-lists row reduction.
+  * GF(2) ranks        -> sympy's DomainMatrix over GF(2), and a naive
+    list-of-lists row reduction.
   * convex hulls       -> scipy's Qhull (vertices, facet hyperplanes, and the
     centroid of a Delaunay triangulation) on degenerate integer point sets,
     plus the facet/extremality definitions directly.
@@ -16,13 +17,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
+from operator import xor
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy import GF
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from sympy.polys.matrices import DomainMatrix
 
 from sfhpoly.exactalg import (
     EmptyInput,
@@ -327,31 +332,91 @@ def test_solve_recovers_constructed_rhs(a, data):
 # GF(2)
 
 
+def bitmasks(a):
+    """The 0/1 rows of a as GF(2) bitmasks, bit j for column j."""
+    return [sum((x & 1) << j for j, x in enumerate(row)) for row in a]
+
+
+def gf2_rank_sympy(rows, ncols):
+    """Rank of bitmask rows by sympy's DomainMatrix over GF(2)."""
+    if not rows:
+        return 0
+    field = GF(2)
+    return DomainMatrix([[field(bits >> j & 1) for j in range(ncols)]
+                         for bits in rows], (len(rows), ncols), field).rank()
+
+
+def square_zero_block(rng, n, ones_per_row=6):
+    """d = [[0, A], [0, 0]] under a random permutation: d^2 = 0 over GF(2).
+
+    The shape of a class block of the differential, with rank d = rank A.
+    """
+    half = n // 2
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [0] * n
+    for i in range(half):
+        for j in rng.sample(range(half, n), min(ones_per_row, n - half)):
+            rows[perm[i]] |= 1 << perm[j]
+    return rows
+
+
 def test_gf2_identity():
-    rank, kernel = gf2_rank_kernel([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert rank == 3 and kernel == []
+    assert gf2_rank_kernel([0b001, 0b010, 0b100]) == 3
 
 
 def test_gf2_repeated_row():
-    rank, kernel = gf2_rank_kernel([[1, 1], [1, 1]])
-    assert rank == 1 and kernel == [(1, 1)]
+    assert gf2_rank_kernel([0b11, 0b11]) == 1
 
 
-def test_gf2_empty_matrix_refused():
-    # a matrix with no rows has no column count
-    with pytest.raises(ValueError):
-        gf2_rank_kernel([])
+def test_gf2_no_rows_has_rank_zero():
+    # bitmask rows need no column count
+    assert gf2_rank_kernel([]) == 0
+    assert gf2_rank_kernel([0, 0]) == 0
+
+
+@pytest.mark.parametrize("row", [-1, Fraction(1), 1.0, [1, 0], "1"])
+def test_gf2_refuses_a_row_that_is_not_a_bitmask(row):
+    with pytest.raises(TypeError):
+        gf2_rank_kernel([0b10, row])
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.lists(st.integers(0, 1), min_size=8, max_size=8),
                 min_size=8, max_size=8))
 def test_gf2_matches_naive_oracle(a):
-    rank, kernel = gf2_rank_kernel(a)
-    assert rank == gf2_rank_naive(a)
-    assert rank + len(kernel) == 8
-    for v in kernel:
-        assert all(sum(x * y for x, y in zip(row, v)) % 2 == 0 for row in a)
+    rows = bitmasks(a)
+    assert gf2_rank_kernel(rows) == gf2_rank_naive(a) \
+        == gf2_rank_sympy(rows, 8)
+
+
+def test_gf2_matches_sympy_on_rectangular_rows():
+    rng = random.Random(11)
+    for _ in range(150):
+        ncols = rng.randint(1, 64)
+        m = rng.randint(1, 70)
+        # sparse, dense and low-rank row sets
+        density = rng.choice((0.05, 0.3, 0.5))
+        rows = [sum(1 << j for j in range(ncols) if rng.random() < density)
+                for _ in range(m)]
+        if rng.random() < 0.3:
+            # sums of a few rows: rank at most len(basis)
+            basis = rows[:rng.randint(1, 4)]
+            rows = [reduce(xor, rng.sample(basis, rng.randint(0, len(basis))),
+                           0) for _ in range(m)]
+        want = gf2_rank_sympy(rows, ncols)
+        assert gf2_rank_kernel(rows) == want
+        a = [[bits >> j & 1 for j in range(ncols)] for bits in rows]
+        assert gf2_rank_naive(a) == want
+
+
+def test_gf2_matches_sympy_on_square_zero_blocks():
+    rng = random.Random(12)
+    for n in (2, 3, 7, 16, 31, 64, 90):
+        for ones in (1, 2, 6):
+            rows = square_zero_block(rng, n, ones)
+            want = gf2_rank_sympy(rows, n)
+            assert gf2_rank_kernel(rows) == want <= n // 2
 
 
 # ---------------------------------------------------------------------------
