@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import sub
 
-from .exactalg import LinearSolver, integer_kernel_basis, mat_vec, \
-    smith_normal_form, unimodular_inverse, vec_mat
+from .exactalg import LinearSolver, SparseMap, integer_kernel_basis, \
+    smith_normal_form, unimodular_inverse
 
 
 class Disconnected(ValueError):
@@ -587,26 +588,27 @@ class _CycleCoords:
     lattice isomorphically onto Z^N; B is a basis of that lattice, so B on
     the rows N is a square unimodular matrix M, and x = M^-1 z[N] are the
     coordinates of a cycle z.  A chain z that is not a cycle fails the
-    substitution check B x = z.
+    substitution check B x = z.  B and M^-1 are sparse maps.
     """
 
     arc_pos: dict
     circle_pos: dict
-    basis: tuple[tuple[int, ...], ...]      # B, one row per chain position
+    basis: SparseMap                        # B, one row per chain position
     nontree: tuple[int, ...]
-    inverse: tuple[tuple[int, ...], ...]    # M^-1
+    inverse: SparseMap                      # M^-1
 
-    def of(self, chain: dict) -> tuple[int, ...] | None:
-        """Coordinates of a 1-chain {(curve, arc) or circle id -> mult},
-        or None when it is not a cycle."""
-        z = [0] * len(self.basis)
+    def read_off(self, chain: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(x, B x - z) for a 1-chain z {(curve, arc) or circle id -> mult},
+        x = M^-1 z[N]; both are linear in z, and the residual B x - z is
+        zero exactly when z is a cycle."""
+        z = [0] * self.basis.m
         for key, mult in chain.items():
             pos = self.arc_pos.get(key)
             if pos is None:
                 pos = self.circle_pos[key]
             z[pos] += mult
-        x = mat_vec(self.inverse, [z[i] for i in self.nontree])
-        return x if mat_vec(self.basis, x) == tuple(z) else None
+        x = self.inverse @ [z[i] for i in self.nontree]
+        return x, tuple(map(sub, self.basis @ x, z))
 
 
 @dataclass(frozen=True)
@@ -621,7 +623,10 @@ class H1Presentation:
     checked twice: B restricted to those arcs must be unimodular, and
     every read-off x must satisfy B x = z.  The normalizer reduces any
     generator-coords vector to a canonical coset representative via the
-    relation SNF.
+    relation SNF: w = v V is reduced modulo the diagonal and mapped back by
+    V^-1.  Only the coordinates of w whose diagonal entry is not 1 survive
+    the reduction, so V keeps just those columns (w is then v's image) and
+    V^-1 just those rows, both as sparse maps.
     """
 
     generator_count: int
@@ -629,10 +634,9 @@ class H1Presentation:
     b1: int
     torsion: tuple[int, ...]
     _cycles: _CycleCoords
-    _v: tuple
-    _vinv: tuple
-    _diag_pad: tuple[int, ...]
-    _free_idx: tuple[int, ...]
+    _v: SparseMap
+    _vinv: SparseMap
+    _diag: tuple[int, ...]              # the diagonal entries other than 1
 
     def chain_coords(self, chain: dict) -> tuple[int, ...]:
         """Generator coordinates of a closed 1-chain.
@@ -640,27 +644,34 @@ class H1Presentation:
         The chain is a map {(curve, arc) or circle id -> multiplicity};
         handle generators never appear in curve-graph chains.
         """
-        coords = self._cycles.of(chain)
-        if coords is None:
+        coords, residual = self._cycles.read_off(chain)
+        if any(residual):
             raise ValueError("chain is not a cycle of the curve graph")
         return coords + (0,) * (self.generator_count - len(coords))
 
+    def chain_image(self, chain: dict) -> tuple[tuple[int, ...], ...]:
+        """(image, residual B x - z) of any 1-chain, both linear in it: a sum
+        of chains is a cycle when its residuals sum to 0, and its coset is
+        coset_of_image of the summed images."""
+        x, residual = self._cycles.read_off(chain)
+        return self.image(x + (0,) * (self.generator_count - len(x))), residual
+
+    def image(self, v: tuple[int, ...]) -> tuple[int, ...]:
+        """v V on the coordinates whose diagonal entry is not 1."""
+        return v @ self._v
+
+    def coset_of_image(self, w: tuple[int, ...]) -> tuple[int, ...]:
+        """The canonical representative of the coset whose image is w."""
+        return tuple(x % d if d else x for x, d in zip(w, self._diag)) \
+            @ self._vinv
+
     def normalize(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Canonical representative of v's coset modulo the relations."""
-        if self.generator_count == 0:
-            return ()
-        w = list(vec_mat(v, self._v))
-        for i, di in enumerate(self._diag_pad):
-            if di > 0:
-                w[i] %= di
-        return vec_mat(w, self._vinv)
+        return self.coset_of_image(self.image(v))
 
     def free_part(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Coordinates of v in the free quotient Z^b1 (torsion dropped)."""
-        if self.generator_count == 0:
-            return ()
-        w = vec_mat(v, self._v)
-        return tuple(w[i] for i in self._free_idx)
+        return tuple(x for x, d in zip(self.image(v), self._diag) if d == 0)
 
     def reduce_chain(self, chain: dict) -> tuple[int, ...]:
         return self.normalize(self.chain_coords(chain))
@@ -705,17 +716,17 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
     cycle_basis = integer_kernel_basis(bd) if s.points else \
         [tuple(int(i == j) for i in range(n)) for j in range(n)]
     basis = [tuple(vec[i] for vec in cycle_basis) for i in range(n)]
-    cycles = _CycleCoords(arc_pos, circle_pos, tuple(basis), tuple(nontree),
-                          tuple(map(tuple, unimodular_inverse(
-                              [basis[i] for i in nontree]))))
+    cycles = _CycleCoords(arc_pos, circle_pos, SparseMap(basis),
+                          tuple(nontree), SparseMap(unimodular_inverse(
+                              [basis[i] for i in nontree])))
     cycle_rank = len(cycle_basis)
 
     handles = sum(2 * r.genus for r in d.regions)
     gen_count = cycle_rank + handles
 
     def coords_of(chain: dict) -> tuple[int, ...]:
-        x = cycles.of(chain)
-        if x is None:
+        x, residual = cycles.read_off(chain)
+        if any(residual):
             raise AssertionError("region/curve relation is not a cycle")
         return x + (0,) * handles
 
@@ -737,23 +748,20 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
     if not relations and gen_count:
         relations = [[0] * gen_count]
     if gen_count == 0:
-        return H1Presentation(0, (), 0, (), cycles, (), (), (), ())
+        return H1Presentation(0, (), 0, (), cycles, SparseMap([]),
+                              SparseMap([]), ())
 
     snf = smith_normal_form(relations)
     diag = list(snf.diagonal) + [0] * (gen_count - len(snf.diagonal))
-    b1 = sum(1 for x in diag if x == 0)
-    torsion = tuple(x for x in diag if x > 1)
-    free_idx = tuple(i for i, x in enumerate(diag) if x == 0)
+    kept = [i for i, x in enumerate(diag) if x != 1]
     vinv = unimodular_inverse(snf.v)
-
     return H1Presentation(
         generator_count=gen_count,
         relation_matrix=tuple(tuple(r) for r in relations),
-        b1=b1,
-        torsion=torsion,
+        b1=diag.count(0),
+        torsion=tuple(x for x in diag if x > 1),
         _cycles=cycles,
-        _v=snf.v,
-        _vinv=tuple(tuple(r) for r in vinv),
-        _diag_pad=tuple(diag),
-        _free_idx=free_idx,
+        _v=SparseMap([[row[i] for i in kept] for row in snf.v]),
+        _vinv=SparseMap([vinv[i] for i in kept], gen_count),
+        _diag=tuple(diag[i] for i in kept),
     )

@@ -24,7 +24,9 @@ A hull, its vertices and its centroid come from one placing
 (beneath-beyond) triangulation on integer coordinates in the affine hull of
 the points: its boundary simplices give the facets and the vertices, its
 full-dimensional simplices the centroid.  Matrices are rectangular lists
-of rows; vectors are tuples.
+of rows; vectors are tuples.  A fixed matrix that many vectors are
+multiplied by is kept as a SparseMap, its nonzero entries by row and by
+column, so its shape is checked once and a product costs its nonzeros.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd, lcm
 from operator import mul
 
@@ -66,27 +68,53 @@ def _row_times(v, a, n: int) -> list:
     return acc
 
 
+def _lines(a) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(positions, values) of the nonzero entries of each row of a."""
+    return [(tuple(compress(range(len(row)), row)), tuple(compress(row, row)))
+            for row in a]
+
+
+def _combine(v, lines, size: int) -> tuple[int, ...]:
+    """Sum of v[i] times line i, over the nonzero entries of v."""
+    if len(v) != len(lines):
+        raise ValueError(f"vector length {len(v)} does not match {len(lines)}")
+    acc = [0] * size
+    for x, (pos, vals) in zip(v, lines):
+        if x:
+            for j, y in zip(pos, vals):
+                acc[j] += x * y
+    return tuple(acc)
+
+
+class SparseMap:
+    """A fixed integer matrix kept as the nonzero entries of its rows and
+    of its columns.
+
+    The shape is checked once, when the map is built.  `a @ v` (a times the
+    column vector v) and `v @ a` (the row vector v times a) then cost the
+    nonzero entries of a that meet nonzero entries of v.
+    """
+
+    def __init__(self, a, n: int = 0):
+        """a is a list of rows; n is its column count when it has none."""
+        self.m, self.n = _shape(a) if a else (0, n)
+        self.rows = _lines(a)
+        self.cols = _lines(zip(*a)) or [((), ())] * self.n
+
+    def __matmul__(self, v) -> tuple[int, ...]:
+        return _combine(v, self.cols, self.m)
+
+    def __rmatmul__(self, v) -> tuple[int, ...]:
+        return _combine(v, self.rows, self.n)
+
+
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     ma, na = _shape(a)
     mb, nb = _shape(b)
     if na != mb:
         raise ValueError(f"cannot multiply {ma}x{na} by {mb}x{nb}")
-    return [_row_times(row, b, nb) for row in a]
-
-
-def mat_vec(a: list[list[int]], v: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    m, n = _shape(a)
-    if len(v) != n:
-        raise ValueError(f"vector length {len(v)} does not match {m}x{n}")
-    return tuple(sum(map(mul, row, v)) for row in a)
-
-
-def vec_mat(v: tuple[int, ...] | list[int], a: list[list[int]]) -> tuple[int, ...]:
-    """Row vector times matrix."""
-    m, n = _shape(a)
-    if len(v) != m:
-        raise ValueError(f"vector length {len(v)} does not match {m}x{n}")
-    return tuple(_row_times(v, a, n))
+    lines = _lines(b)
+    return [list(_combine(row, lines, nb)) for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +371,19 @@ class LinearSolver:
     """A x = b solver over the integers with a precomputed factorization.
 
     Callers that solve against one matrix many times (connecting domains)
-    keep one of these around.
+    keep one of these around.  Products go through sparse maps of A
+    (`a_map`) and of the Smith form's U and V; L (`lcm`) is the lcm of the
+    nonzero diagonal entries of D = U A V.
     """
 
     def __init__(self, a: list[list[int]]):
         self.m, self.n = _shape(a)
         self.a = [list(row) for row in a]
-        self.snf = smith_normal_form(a) if self.n or self.m else None
-        self.rank = self.snf.rank if self.snf else 0
+        self.a_map = SparseMap(self.a)
+        self.snf = smith_normal_form(a)
+        self.rank = self.snf.rank
+        self.lcm = lcm(*self.snf.diagonal[:self.rank])
+        self._u, self._v = SparseMap(self.snf.u), SparseMap(self.snf.v)
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of the saturated lattice {v : A v = 0}, verified.
@@ -358,36 +391,35 @@ class LinearSolver:
         The kernel is read off the column transform of the Smith normal
         form: columns of V beyond the rank map to zero columns of D.
         """
-        if self.snf is None:
-            return []
         basis = [tuple(self.snf.v[i][j] for i in range(self.n))
                  for j in range(self.rank, self.n)]
         for vec in basis:
-            if any(x != 0 for x in mat_vec(self.a, vec)):
+            if any(self.a_map @ vec):
                 raise AssertionError("kernel verification failed")
         return basis
 
-    def solve(self, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
-        """One integer solution of A x = b, or None when infeasible."""
+    def parts(self, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(X, F) for the right-hand side b, both linear in b.
+
+        X = L V D^+ U b, and F is U b on the zero rows of D.  A x = b has an
+        integer solution exactly when F = 0 and L divides X, and x = X / L
+        is then one.  Linearity lets a caller add the parts of several
+        right-hand sides and test only their sum.
+        """
         if len(b) != self.m:
             raise ValueError("right-hand side has the wrong length")
-        if self.snf is None:
-            return () if all(x == 0 for x in b) else None
-        c = mat_vec(self.snf.u, b)
-        diag = self.snf.diagonal
-        z = [0] * self.n
-        for i in range(self.m):
-            di = diag[i] if i < len(diag) else 0
-            if di == 0:
-                if c[i] != 0:
-                    return None
-            else:
-                if c[i] % di != 0:
-                    return None
-                if i < self.n:
-                    z[i] = c[i] // di
-        x = mat_vec(self.snf.v, z)
-        if mat_vec(self.a, x) != tuple(b):
+        c = self._u @ b
+        r = self.rank
+        z = [self.lcm // d * y for d, y in zip(self.snf.diagonal, c[:r])]
+        return self._v @ (z + [0] * (self.n - r)), c[r:]
+
+    def solve(self, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
+        """One integer solution of A x = b, or None when infeasible."""
+        x, f = self.parts(b)
+        if any(f) or any(y % self.lcm for y in x):
+            return None
+        x = tuple(y // self.lcm for y in x)
+        if self.a_map @ x != tuple(b):
             raise AssertionError("integer solve verification failed")
         return x
 

@@ -10,11 +10,17 @@ each path runs between the indices that the context's point_alpha /
 point_beta tables give x's and y's points, and the jump system's
 right-hand side at a point is +-((point in y) - (point in x)).
 
-Each class gets one domain table: D(a, g) for its first member a and
-every member g, one solve each, and the grading gr(g) = -mu(D(a, g)).
+Nothing is solved per generator.  Each point gets one row per diagram:
+for eps, the H1 image and cycle residual of its path chain to the first
+generator; for domains, the jump solver's parts of its right-hand side,
+its corner counts and that right-hand side.  A generator's data is the
+sum of its points' rows, and every check is a sum check: the residual is
+0, a domain D(a, g) from the class's first member exists and solves the
+jump system, and 4 mu(D(a, g)) is divisible by 4; gr(g) = -mu(D(a, g)).
 With a zero periodic lattice D(x, y) = D(a, y) - D(a, x) and
 mu(x, y) = gr(x) - gr(y), so only pairs one grading apart with
-D(x, y) >= 0 can count.  On a nice diagram every such pair is an entry:
+D(x, y) >= 0 can count, and each member meets only those one grading
+below it.  On a nice diagram every such pair is an entry:
 by Sarkar and Wang (Ann. of Math. 171, 2010, Theorem 3.3) a positive
 index-1 domain there is an empty embedded bigon or rectangle, with one
 holomorphic representative.  That is checked, not assumed: a domain with
@@ -30,9 +36,9 @@ checks d^2 = 0 on each block and takes its certified GF(2) rank.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
-from operator import mul
+from operator import add, le, mul, sub
 
 from .diagram import (
     Diagram,
@@ -104,20 +110,25 @@ def enumerate_generators(d: Diagram) -> tuple[Generator, ...]:
 # class partition via eps
 
 
+def _path_chain(s, points, y: Generator) -> dict:
+    """The alpha paths minus the beta paths from the points to y's points
+    on their curves; eps(x, y) is the class of this chain of x's points."""
+    stop = dict(s.point_alpha[p] for p in y.points)
+    stop.update(s.point_beta[p] for p in y.points)
+    chain: dict = {}
+    for p in points:
+        for table, coeff in ((s.point_alpha, 1), (s.point_beta, -1)):
+            name, k = table[p]
+            while k != stop[name]:
+                chain[name, k] = coeff
+                k = (k + 1) % len(s.curve_by_name[name].points)
+    return chain
+
+
 def epsilon(d: Diagram, x: Generator, y: Generator) -> tuple[int, ...]:
     """Normalized H1 coset separating x from y (zero iff same class)."""
     s = diagram_index(d)
-    chain: dict = {}
-    for table, coeff in ((s.point_alpha, 1), (s.point_beta, -1)):
-        # x and y have one point on each curve, so sorting by curve pairs them
-        starts = sorted(map(table.__getitem__, x.points))
-        stops = sorted(map(table.__getitem__, y.points))
-        for (name, k), (_, stop) in zip(starts, stops):
-            n = len(s.curve_by_name[name].points)
-            while k != stop:
-                chain[name, k] = coeff
-                k = (k + 1) % n
-    return s.h1.reduce_chain(chain)
+    return s.h1.reduce_chain(_path_chain(s, x.points, y))
 
 
 @dataclass(frozen=True)
@@ -128,15 +139,50 @@ class SpinAssignment:
     coset_rep: tuple[int, ...]
 
 
+def _summed_rows(rows: dict, gens: tuple[Generator, ...], width: int):
+    """Per generator, the sum of its points' rows as a fresh list; each
+    generator reuses the partial sums over its leading points that it
+    shares with the one before."""
+    sums, prev = [[0] * width], ()
+    for g in gens:
+        pts, k = g.points, 0
+        while k < min(len(pts), len(prev)) and pts[k] == prev[k]:
+            k += 1
+        del sums[k + 1:]
+        for p in pts[k:]:
+            sums.append(list(map(add, sums[-1], rows[p])))
+        prev = pts
+        yield sums[-1]
+
+
+def _eps_points(s, base: Generator) -> tuple[dict, tuple[int, int]]:
+    """(rows, cuts): rows[p] = W_p + r_p, the image and residual
+    (chain_image) of p's path chain to base; cuts end the two parts."""
+    rows = {p: sum(s.h1.chain_image(_path_chain(s, (p,), base)), ())
+            for p in s.points}
+    w, r = s.h1.chain_image({})
+    return rows, (len(w), len(w) + len(r))
+
+
 def partition_spinc(d: Diagram,
                     gens: tuple[Generator, ...]) -> tuple[SpinAssignment, ...]:
-    """One assignment per generator; cosets are relative to gens[0]."""
-    reps: dict[tuple[int, ...], int] = {}
-    out = []
-    for g in gens:
-        rep = epsilon(d, g, gens[0])
-        cid = reps.setdefault(rep, len(reps))
-        out.append(SpinAssignment(cid, rep))
+    """One assignment per generator; cosets are relative to gens[0] and
+    normalized once per summed image."""
+    if not gens:
+        return ()
+    s = diagram_index(d)
+    rows, (nw, width) = _eps_points(s, gens[0])
+    by_image, reps, out = {}, {}, []
+    for g, v in zip(gens, _summed_rows(rows, gens, width)):
+        if any(v[nw:]):
+            raise AssertionError(f"the eps chain of {g} is not a cycle")
+        w = tuple(v[:nw])
+        if w not in by_image:
+            rep = s.h1.coset_of_image(w)
+            by_image[w] = SpinAssignment(reps.setdefault(rep, len(reps)), rep)
+        out.append(by_image[w])
+    if any(out[0].coset_rep):
+        raise AssertionError(f"eps({gens[0]}, {gens[0]}) is not zero")
     return tuple(out)
 
 
@@ -224,57 +270,98 @@ class Undetermined:
     """Some positive index-1 domain exists on a non-nice diagram."""
 
 
-def _domain_table(d: Diagram, gens: tuple[Generator, ...], members: list[int]):
-    """(g, D(a, g), gr(g) = -mu(D(a, g))) per member g, anchor a = members[0].
+def _domain_points(s) -> tuple[dict, tuple[int, int, int, int]]:
+    """(rows, cuts): rows[p] = X_p + N_p + F_p + L b_p, cuts the part ends.
 
-    The jump system is linear in the pair, so with a zero periodic lattice
-    D(x, y) = D(a, y) - D(a, x), and mu(x, y) = gr(x) - gr(y) by additivity.
+    A domain from x to y solves A D = b(y) - b(x), b(g) the sum of b_p over
+    g.  X_p, F_p are the jump solver's parts of b_p, L its lcm, and N_p
+    counts p's corners in each interior region.
     """
-    a = gens[members[0]]
-    table = []
-    for g in members:
-        dom = connecting_domain(d, a, gens[g])
-        if not isinstance(dom, Domain):
+    meta, solver = s.jump
+    rows = {}
+    for p in s.points:
+        b = [sign * (q == p) for sign, q in meta]
+        corners = Counter(s.quadrant[p].values())
+        x, f = solver.parts(b)
+        rows[p] = (x + tuple(corners[ri] for ri in s.interior) + f
+                   + tuple(solver.lcm * y for y in b))
+    n, f = solver.n, solver.m - solver.rank
+    return rows, (n, 2 * n, 2 * n + f, 2 * n + f + solver.m)
+
+
+def _class_tables(s, gens: tuple[Generator, ...],
+                  assignments: tuple[SpinAssignment, ...]):
+    """Per class, (g, D(a, g), gr(g) = -mu(D(a, g))) per member g, a its first.
+
+    Y(g) - Y(a), Y the summed point rows, holds X, F and L b from a to g: a
+    domain exists when F = 0 and L divides X, D(a, g) = X / L must solve
+    A D = b, and 4 mu = (e + N(a) + N(g)) . D(a, g), e the Euler row.  eps
+    vanishes exactly when a domain exists, so classes differ in (F, X mod L).
+    """
+    solver = s.jump[1]
+    lcm = solver.lcm
+    rows, (cx, cn, cf, width) = _domain_points(s)
+    euler = [s.euler4[ri] for ri in s.interior]
+    anchors, keys = {}, {}      # class -> (a, Y(a), e + N(a), its table)
+    for g, y in enumerate(_summed_rows(rows, gens, width)):
+        c = assignments[g].class_id
+        if c not in anchors:
+            key = tuple(y[cn:cf]) + tuple(x % lcm for x in y[:cx])
+            if keys.setdefault(key, c) != c:
+                raise AssertionError(f"a domain connects classes "
+                                     f"{keys[key]} and {c}")
+            anchors[c] = gens[g], y, list(map(add, euler, y[cx:cn])), []
+        a, ya, weight, table = anchors[c]
+        dom = list(map(sub, y[:cx], ya[:cx]))
+        if y[cn:cf] != ya[cn:cf] or any(x % lcm for x in dom):
             raise AssertionError("no unique domain within a class")
-        table.append((g, dom.multiplicities,
-                      -maslov_index(d, dom, a, gens[g])))
-    return table
+        dom = [x // lcm for x in dom]
+        if solver.a_map @ dom != tuple(map(sub, y[cf:], ya[cf:])):
+            raise AssertionError("integer solve verification failed")
+        mu4 = sum(map(mul, dom, map(add, weight, y[cx:cn])))
+        if mu4 % 4:
+            raise NonIntegerIndex(f"index {mu4}/4 between {a} and {gens[g]}")
+        table.append((g, s.on_regions(dom), -(mu4 // 4)))
+    return [anchors[c][3] for c in sorted(anchors)]
 
 
 def _differential(d: Diagram, gens: tuple[Generator, ...],
                   assignments: tuple[SpinAssignment, ...]):
-    """One domain table per class, and the differential read off them."""
+    """One domain table per class, and the differential read off them;
+    each member is compared only with the members one grading below it."""
     s = diagram_index(d)
     if s.lattice.rank:
         raise LatticeNotZero("periodic domains make counting ambiguous")
-    by_class: dict[int, list[int]] = {}
-    for i, a in enumerate(assignments):
-        by_class.setdefault(a.class_id, []).append(i)
-    tables = [_domain_table(d, gens, by_class[c]) for c in sorted(by_class)]
+    tables = _class_tables(s, gens, assignments)
     nice = is_nice(d).nice
     ones = set()
     for table in tables:
-        for (i, di, gi), (j, dj, gj) in product(table, repeat=2):
-            if gi - gj != 1 or any(p > q for p, q in zip(di, dj)):
-                continue
-            if not nice:
-                return tables, Undetermined()
-            dom = tuple(q - p for p, q in zip(di, dj))
-            shared = set(gens[i].points) & set(gens[j].points)
-            moved = len(gens[i].points) - len(shared)
-            if max(dom) > 1:
-                fault = "a multiplicity above 1"
-            elif not 1 <= moved <= 2:
-                fault = f"{moved} moved coordinates"
-            elif any(dom[r] for p in shared for r in s.quadrant[p].values()):
-                fault = "a covered corner at a shared point"
-            else:
-                ones.add((i, j))
-                continue
-            raise AssertionError(
-                f"positive index-1 domain from {gens[i]} to {gens[j]} on a "
-                f"nice diagram has {fault}, so it is not an empty bigon or "
-                f"rectangle")
+        by_grading: dict = {}
+        for row in table:
+            by_grading.setdefault(row[2], []).append(row)
+        for i, di, gi in table:
+            for j, dj, _ in by_grading.get(gi - 1, ()):
+                if not all(map(le, di, dj)):
+                    continue
+                if not nice:
+                    return tables, Undetermined()
+                dom = tuple(q - p for p, q in zip(di, dj))
+                shared = set(gens[i].points) & set(gens[j].points)
+                moved = len(gens[i].points) - len(shared)
+                if max(dom) > 1:
+                    fault = "a multiplicity above 1"
+                elif not 1 <= moved <= 2:
+                    fault = f"{moved} moved coordinates"
+                elif any(dom[r] for p in shared
+                         for r in s.quadrant[p].values()):
+                    fault = "a covered corner at a shared point"
+                else:
+                    ones.add((i, j))
+                    continue
+                raise AssertionError(
+                    f"positive index-1 domain from {gens[i]} to {gens[j]} "
+                    f"on a nice diagram has {fault}, so it is not an empty "
+                    f"bigon or rectangle")
     if not nice:
         return tables, ZeroCertificate()
     return tables, Exact(tuple(sorted(ones)))

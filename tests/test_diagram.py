@@ -30,7 +30,8 @@ from sfhpoly.diagram import (
     validate,
 )
 from sfhpoly import diagram
-from sfhpoly.builders import build_base, build_elementary_piece, build_tpqn
+from sfhpoly.builders import (build_base, build_elementary_piece, build_tpqn,
+                              glue)
 from sfhpoly.exactalg import LinearSolver, integer_kernel_basis, \
     smith_normal_form
 from conftest import seg, torus_grid
@@ -259,9 +260,15 @@ def test_h1_grid(grid_diag):
     assert h1.b1 == 0 and h1.torsion == ()
 
 
+def torsion_pair():
+    """T(2,1;2) glued to itself along s0: H1 = Z + Z/2."""
+    return glue(build_tpqn(2, 1, 2), "s0", build_tpqn(2, 1, 2), "s0")
+
+
 def test_h1_normalizer_properties(grid_diag, annulus_isotopic):
     rng = random.Random(9)
-    for d in (grid_diag, annulus_isotopic):
+    assert h1_presentation(torsion_pair()).torsion == (2,)
+    for d in (grid_diag, annulus_isotopic, torsion_pair()):
         h1 = h1_presentation(d)
         rows = h1.relation_matrix
         for _ in range(25):

@@ -32,6 +32,7 @@ from sympy.polys.matrices import DomainMatrix
 from sfhpoly.exactalg import (
     EmptyInput,
     LinearSolver,
+    SparseMap,
     _inverse,
     _rank,
     body_centroid,
@@ -40,7 +41,6 @@ from sfhpoly.exactalg import (
     gf2_rank_kernel,
     integer_kernel_basis,
     mat_mul,
-    mat_vec,
     smith_normal_form,
     unimodular_inverse,
 )
@@ -48,6 +48,11 @@ from sfhpoly.exactalg import (
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def mat_vec(a, v):
+    """Dense A v, the reference for the sparse products."""
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def minor_gcd(a, k):
@@ -326,6 +331,39 @@ def test_solve_recovers_constructed_rhs(a, data):
     x = LinearSolver(a).solve(b)
     assert x is not None
     assert mat_vec(a, x) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices, st.data())
+def test_sparse_map_products_match_dense(a, data):
+    m, n = len(a), len(a[0])
+    v = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    u = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+    sparse = SparseMap(a)
+    assert sparse @ v == mat_vec(a, v)
+    assert u @ sparse == mat_vec([list(col) for col in zip(*a)], u)
+    with pytest.raises(ValueError, match="does not match"):
+        sparse @ (v + [0])
+    with pytest.raises(ValueError, match="not rectangular"):
+        SparseMap([[1, 2], [3]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices, st.data())
+def test_solver_parts_are_linear_and_decide_solvability(a, data):
+    m = len(a)
+    b1, b2 = (tuple(data.draw(st.lists(st.integers(-4, 4), min_size=m,
+                                       max_size=m))) for _ in range(2))
+    solver = LinearSolver(a)
+    p1, p2 = solver.parts(b1), solver.parts(b2)
+    both = solver.parts(tuple(x + y for x, y in zip(b1, b2)))
+    assert both == tuple(tuple(x + y for x, y in zip(u, v))
+                         for u, v in zip(p1, p2))
+    x, f = p1
+    feasible = not any(f) and all(y % solver.lcm == 0 for y in x)
+    assert (solver.solve(b1) is not None) == feasible
+    if feasible:
+        assert mat_vec(a, solver.solve(b1)) == b1
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ connecting-domain answer against the raw region cycles.
 from __future__ import annotations
 
 import gc
+import io
 import itertools
+import json
 import random
 import weakref
 from math import gcd
@@ -31,6 +33,7 @@ from sfhpoly.floer import (
     NoDomain,
     NonIntegerIndex,
     NonUnique,
+    SpinAssignment,
     Undetermined,
     ZeroCertificate,
     connecting_domain,
@@ -41,9 +44,10 @@ from sfhpoly.floer import (
     maslov_index,
     partition_spinc,
 )
+from sfhpoly.shdcli import emit_shd, run_command
 from conftest import grid_knot, seg, torus_grid
 from test_builders import dims_by_position
-from test_diagram import PROPERTY_POOL
+from test_diagram import PROPERTY_POOL, torsion_pair
 
 
 @pytest.fixture
@@ -166,6 +170,30 @@ def test_epsilon_matches_chain_walk_reference(name):
     gens = enumerate_generators(d)
     for x, y in itertools.product(gens, repeat=2):
         assert epsilon(d, x, y) == _epsilon_reference(d, x, y)
+
+
+PARTITION_POOL = dict(PROPERTY_POOL)
+PARTITION_POOL.update({
+    "T(1,0;10)": lambda: build_tpqn(1, 0, 10),
+    "G(3,1)": lambda: grid_knot(3, 1),
+    "G(4,1)": lambda: grid_knot(4, 1),
+    "G(5,2)": lambda: grid_knot(5, 2),
+    "T(2,1;2)+T(2,1;2)": torsion_pair,
+})
+
+
+@pytest.mark.parametrize("name", PARTITION_POOL)
+def test_partition_matches_pairwise_epsilon(name):
+    """The per-point sums give the classes and cosets of one epsilon call
+    per generator against the first."""
+    d = PARTITION_POOL[name]()
+    gens = enumerate_generators(d)
+    reps: dict = {}
+    want = []
+    for g in gens:
+        rep = epsilon(d, g, gens[0])
+        want.append(SpinAssignment(reps.setdefault(rep, len(reps)), rep))
+    assert partition_spinc(d, gens) == tuple(want)
 
 
 def test_epsilon_cocycle(pants_bigon, grid_rect, grid_four, grid_diag):
@@ -547,13 +575,65 @@ def test_homology_of_grid_knots(n, k, hfk, dims):
     assert dims_by_position(t) == dims
 
 
+@pytest.mark.parametrize("n,k,alexander,chi", [
+    (4, 1, [1], [1, 3, 3, 1]),
+    (5, 2, [1, -1, 1], [1, 5, 11, 14, 11, 5, 1]),
+])
+def test_grid_knot_euler_characteristics(n, k, alexander, chi):
+    """|chi| of each class, the alternating count of its gradings, is the
+    |coefficient| of Delta_K(t) (1 - t)^(n-1), Delta_K the Alexander
+    polynomial: 1 for the unknot and t - 1 + t^-1 for the trefoil."""
+    want = alexander
+    for _ in range(n - 1):
+        want = [a - b for a, b in zip(want + [0], [0] + want)]
+    assert [abs(x) for x in want] == chi
+    rows = sorted(homology(grid_knot(n, k)).classes,
+                  key=lambda c: c.free_coords[0])
+    got = [abs(sum(1 - 2 * (gr % 2) for gr in row.gradings)) for row in rows]
+    assert got in (chi, chi[::-1])
+
+
+@pytest.mark.parametrize("n,k,genus", [(4, 1, 0), (5, 2, 1)])
+def test_grid_knot_polytope_detects_genus_and_fibredness(tmp_path, n, k,
+                                                         genus):
+    """The polytope is a segment of width 2(2g + n - 1), and its end
+    classes have dimension 1 because the unknot and the trefoil are
+    fibred (Ozsvath-Szabo 2004, Ni 2007)."""
+    f = tmp_path / "grid.shd"
+    f.write_text(emit_shd(grid_knot(n, k)), encoding="utf-8")
+    out = io.StringIO()
+    assert run_command(["--json", "polytope", str(f)], out) == 0
+    data = json.loads(out.getvalue())
+    half = 2 * genus + n - 1
+    assert data["polytope"]["vertices"] == [[str(-half)], [str(half)]]
+    support = sorted((p["point"][0], p["dimension"]) for p in data["support"])
+    assert support[-1][0] - support[0][0] == 2 * half
+    assert support[0][1] == support[-1][1] == 1
+
+
 def test_homology_lattice_guard(annulus_isotopic):
     with pytest.raises(LatticeNotZero):
         homology(annulus_isotopic)
 
 
-def _no_domain(d, x, y):
-    return NoDomain()
+def _bumped(builder, part: int, pick, by: int = 1):
+    """A per-point table builder with one entry moved by `by`: the first
+    entry of part `part` in the row of the point pick(s, rows).  Parts are
+    counted from 0 at the builder's cuts."""
+    def bumped(s, *args):
+        rows, cuts = builder(s, *args)
+        start = ((0,) + cuts)[part]
+        assert cuts[part] > start, "the part is empty"
+        p = pick(s, rows)
+        row = list(rows[p])
+        row[start] += by
+        return {**rows, p: tuple(row)}, cuts
+    bumped.__name__ = f"part{part}_bumped"
+    return bumped
+
+
+def _last_point(s, rows):
+    return s.points[-1]
 
 
 def _rank_two(block):
@@ -569,7 +649,8 @@ def _squares_to_identity(real):
 
 
 @pytest.mark.parametrize("name,value,error", [
-    ("connecting_domain", _no_domain, "no unique domain within a class"),
+    ("_domain_points", _bumped(floer._domain_points, 2, _last_point),
+     "no unique domain within a class"),
     ("_differential", _squares_to_identity(floer._differential),
      "does not square to zero"),
     ("gf2_rank_kernel", _rank_two, "rank exceeds half the class"),
@@ -607,11 +688,65 @@ def test_nice_branch_raises_on_a_non_bigon_or_rectangle(
     """A positive index-1 domain on a nice diagram is an empty bigon or
     rectangle (Sarkar-Wang); a corrupted table or quadrant must raise."""
     d = hand_stabilized(grid_rect, target) if target else grid_rect
-    real = floer._domain_table
-    monkeypatch.setattr(floer, "_domain_table", lambda d, gens, members:
-                        corrupt(d, real(d, gens, members)))
+    real = floer._class_tables
+    monkeypatch.setattr(floer, "_class_tables", lambda s, *args:
+                        [corrupt(s.d, table) for table in real(s, *args)])
     with pytest.raises(AssertionError, match=error):
         homology(d)
+
+
+def _in_second_not_anchor(s, rows):
+    """A point of the second member of the first class with two members,
+    not in that class's first member (its anchor)."""
+    gens = enumerate_generators(s.d)
+    by_class: dict = {}
+    for g, a in zip(gens, partition_spinc(s.d, gens)):
+        by_class.setdefault(a.class_id, []).append(g)
+    anchor, second = next(m for m in by_class.values() if len(m) > 1)[:2]
+    return next(p for p in second.points if p not in anchor.points)
+
+
+def _in_first_generator(s, rows):
+    return enumerate_generators(s.d)[0].points[0]
+
+
+@pytest.mark.parametrize("table,part,pick,error", [
+    ("_eps_points", 0, _in_first_generator, "is not zero"),
+    ("_eps_points", 1, _in_first_generator, "is not a cycle"),
+    ("_domain_points", 0, _in_second_not_anchor,
+     "integer solve verification failed"),
+    ("_domain_points", 1, _in_second_not_anchor, "index 1/4"),
+    ("_domain_points", 2, _in_second_not_anchor,
+     "no unique domain within a class"),
+])
+def test_a_bumped_table_entry_raises_from_its_sum_check(
+        monkeypatch, table, part, pick, error):
+    """W_p and r_p (parts 0 and 1 of the eps rows), X_p, N_p and F_p
+    (parts 0, 1 and 2 of the domain rows), each raised by 1 at one point.
+
+    On T(1,0;6) the second class has two members, and the domain between
+    them is its one interior region, once: a corner count raised there
+    moves 4 mu by 1.
+    """
+    d = build_tpqn(1, 0, 6)
+    gens = enumerate_generators(d)
+    m = connecting_domain(d, gens[1], gens[2]).multiplicities
+    assert [m[ri] for ri in diagram_index(d).interior] == [1]
+    monkeypatch.setattr(floer, table,
+                        _bumped(getattr(floer, table), part, pick))
+    with pytest.raises((AssertionError, NonIntegerIndex), match=error):
+        homology(d)
+
+
+def test_a_split_class_raises_from_the_class_domain_check(monkeypatch):
+    """eps vanishes exactly when a domain exists.  On T(1,0;6) the eps
+    images of the four generators are 0, -1, -1, -2; lowering W at e0_v,
+    which only the last two hold, splits the middle class into two classes
+    that a domain connects."""
+    monkeypatch.setattr(floer, "_eps_points", _bumped(
+        floer._eps_points, 0, lambda s, rows: "e0_v", by=-1))
+    with pytest.raises(AssertionError, match="a domain connects classes"):
+        homology(build_tpqn(1, 0, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -648,14 +783,22 @@ def test_smith_forms_per_diagram_do_not_grow(monkeypatch):
     assert counts == [3, 3]
 
 
-def test_homology_solves_once_per_generator(monkeypatch):
+def test_homology_makes_no_solve_per_generator(monkeypatch):
+    """homology reads every generator off the per-point tables: no solve,
+    and none of the pairwise forms, which stay as the oracles."""
     calls = []
-    real = floer.connecting_domain
 
-    def counted(d, x, y):
-        calls.append((x, y))
-        return real(d, x, y)
+    def counted(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(floer, "connecting_domain", counted)
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counted(exactalg.LinearSolver, "solve")
+    for name in ("connecting_domain", "epsilon", "maslov_index"):
+        counted(floer, name)
     table = homology(build_tpqn(1, 0, 12))
-    assert 0 < len(calls) <= len(table.generators)
+    assert len(table.generators) == 32
+    assert calls == []

@@ -1,0 +1,83 @@
+"""Byte identity of `shd --json` output on a fixed family of diagrams.
+
+`golden_outputs.json` holds, for every (diagram, command) pair, the SHA-256
+of the command's standard output and its exit code.  Any change to an
+output byte, to the order of classes, generators or gradings, or to an exit
+code fails here.  The digests were written by running this file as a
+script (`PYTHONPATH=src python3 tests/test_golden_outputs.py`) at a commit
+whose outputs the acceptance and oracle tests had checked; they are not
+regenerated to make a change pass.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from math import gcd
+from pathlib import Path
+
+import pytest
+
+from sfhpoly.builders import build_tpqn
+from sfhpoly.shdcli import emit_shd, run_command
+
+HERE = Path(__file__).resolve().parent
+if str(HERE) not in sys.path:
+    sys.path.insert(0, str(HERE))
+from conftest import grid_knot  # noqa: E402
+
+DIAGRAMS = {
+    f"T({p},{q};{n})": (lambda p=p, q=q, n=n: build_tpqn(p, q, n))
+    for p in range(1, 6) for q in range(p) if gcd(p, q) == 1
+    for n in (2, 4, 6)}
+DIAGRAMS.update({f"T(1,0;{n})": (lambda n=n: build_tpqn(1, 0, n))
+                 for n in (8, 10, 12, 14, 16)})
+DIAGRAMS.update({f"G({n},{k})": (lambda n=n, k=k: grid_knot(n, k))
+                 for n, k in ((3, 1), (4, 1), (5, 2))})
+
+COMMANDS = {
+    "validate": ["validate"],
+    "compute": ["compute"],
+    "polytope": ["polytope"],
+    "depth": ["depth"],
+    "norm --class 3/2": ["norm", "--class", "3/2"],
+    "face --class 1": ["face", "--class", "1"],
+}
+
+GOLDEN_FILE = HERE / "golden_outputs.json"
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
+
+
+def digests(name: str, workdir: Path) -> dict[str, list]:
+    """[sha256 of stdout, exit code] per command on one emitted diagram."""
+    path = workdir / "diagram.shd"
+    path.write_text(emit_shd(DIAGRAMS[name]()), encoding="utf-8")
+    out = {}
+    for label, argv in COMMANDS.items():
+        buf = io.StringIO()
+        rc = run_command(["--json", argv[0], str(path), *argv[1:]], buf)
+        out[label] = [hashlib.sha256(buf.getvalue().encode()).hexdigest(), rc]
+    return out
+
+
+def test_golden_table_covers_the_family(golden):
+    assert set(golden) == set(DIAGRAMS) and len(DIAGRAMS) == 38
+    assert all(set(v) == set(COMMANDS) for v in golden.values())
+
+
+@pytest.mark.parametrize("name", DIAGRAMS)
+def test_json_output_is_byte_identical(name, tmp_path, golden):
+    assert digests(name, tmp_path) == golden[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {name: digests(name, Path(tmp)) for name in DIAGRAMS}
+    print(json.dumps(table, indent=1, sort_keys=True))
