@@ -626,7 +626,7 @@ class H1Presentation:
     relation SNF: w = v V is reduced modulo the diagonal and mapped back by
     V^-1.  Only the coordinates of w whose diagonal entry is not 1 survive
     the reduction, so V keeps just those columns (w is then v's image) and
-    V^-1 just those rows, both as sparse maps.
+    V^-1 just those rows, both transposed into sparse maps.
     """
 
     generator_count: int
@@ -658,12 +658,12 @@ class H1Presentation:
 
     def image(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """v V on the coordinates whose diagonal entry is not 1."""
-        return v @ self._v
+        return self._v @ v
 
     def coset_of_image(self, w: tuple[int, ...]) -> tuple[int, ...]:
         """The canonical representative of the coset whose image is w."""
-        return tuple(x % d if d else x for x, d in zip(w, self._diag)) \
-            @ self._vinv
+        return self._vinv @ [x % d if d else x
+                             for x, d in zip(w, self._diag)]
 
     def normalize(self, v: tuple[int, ...]) -> tuple[int, ...]:
         """Canonical representative of v's coset modulo the relations."""
@@ -761,7 +761,8 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
         b1=diag.count(0),
         torsion=tuple(x for x in diag if x > 1),
         _cycles=cycles,
-        _v=SparseMap([[row[i] for i in kept] for row in snf.v]),
-        _vinv=SparseMap([vinv[i] for i in kept], gen_count),
+        _v=SparseMap([[row[i] for row in snf.v] for i in kept], gen_count),
+        _vinv=SparseMap([[vinv[i][j] for i in kept]
+                         for j in range(gen_count)]),
         _diag=tuple(diag[i] for i in kept),
     )

@@ -25,8 +25,8 @@ A hull, its vertices and its centroid come from one placing
 the points: its boundary simplices give the facets and the vertices, its
 full-dimensional simplices the centroid.  Matrices are rectangular lists
 of rows; vectors are tuples.  A fixed matrix that many vectors are
-multiplied by is kept as a SparseMap, its nonzero entries by row and by
-column, so its shape is checked once and a product costs its nonzeros.
+multiplied by is kept as a SparseMap, its nonzero entries by column, so
+its shape is checked once and a product costs its nonzeros.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -68,44 +68,31 @@ def _row_times(v, a, n: int) -> list:
     return acc
 
 
-def _lines(a) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(positions, values) of the nonzero entries of each row of a."""
-    return [(tuple(compress(range(len(row)), row)), tuple(compress(row, row)))
-            for row in a]
-
-
-def _combine(v, lines, size: int) -> tuple[int, ...]:
-    """Sum of v[i] times line i, over the nonzero entries of v."""
-    if len(v) != len(lines):
-        raise ValueError(f"vector length {len(v)} does not match {len(lines)}")
-    acc = [0] * size
-    for x, (pos, vals) in zip(v, lines):
-        if x:
-            for j, y in zip(pos, vals):
-                acc[j] += x * y
-    return tuple(acc)
-
-
 class SparseMap:
-    """A fixed integer matrix kept as the nonzero entries of its rows and
-    of its columns.
+    """A fixed integer matrix kept as the nonzero entries of its columns.
 
-    The shape is checked once, when the map is built.  `a @ v` (a times the
-    column vector v) and `v @ a` (the row vector v times a) then cost the
-    nonzero entries of a that meet nonzero entries of v.
+    The shape is checked once, when the map is built.  `a @ v`, a times the
+    column vector v, then costs the nonzero entries of a in the columns
+    where v is nonzero.  A row vector times a matrix is its transpose's
+    map applied to the vector.
     """
 
     def __init__(self, a, n: int = 0):
         """a is a list of rows; n is its column count when it has none."""
         self.m, self.n = _shape(a) if a else (0, n)
-        self.rows = _lines(a)
-        self.cols = _lines(zip(*a)) or [((), ())] * self.n
+        self.cols = [[(i, x) for i, x in enumerate(col) if x]
+                     for col in zip(*a)] or [[]] * self.n
 
     def __matmul__(self, v) -> tuple[int, ...]:
-        return _combine(v, self.cols, self.m)
-
-    def __rmatmul__(self, v) -> tuple[int, ...]:
-        return _combine(v, self.rows, self.n)
+        if len(v) != self.n:
+            raise ValueError(f"vector length {len(v)} does not match "
+                             f"{self.m}x{self.n}")
+        acc = [0] * self.m
+        for x, col in zip(v, self.cols):
+            if x:
+                for i, y in col:
+                    acc[i] += x * y
+        return tuple(acc)
 
 
 def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -113,8 +100,7 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     mb, nb = _shape(b)
     if na != mb:
         raise ValueError(f"cannot multiply {ma}x{na} by {mb}x{nb}")
-    lines = _lines(b)
-    return [list(_combine(row, lines, nb)) for row in a]
+    return [_row_times(row, b, nb) for row in a]
 
 
 # ---------------------------------------------------------------------------

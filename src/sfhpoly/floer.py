@@ -10,13 +10,11 @@ each path runs between the indices that the context's point_alpha /
 point_beta tables give x's and y's points, and the jump system's
 right-hand side at a point is +-((point in y) - (point in x)).
 
-Nothing is solved per generator.  Each point gets one row per diagram:
-for eps, the H1 image and cycle residual of its path chain to the first
-generator; for domains, the jump solver's parts of its right-hand side,
-its corner counts and that right-hand side.  A generator's data is the
-sum of its points' rows, and every check is a sum check: the residual is
-0, a domain D(a, g) from the class's first member exists and solves the
-jump system, and 4 mu(D(a, g)) is divisible by 4; gr(g) = -mu(D(a, g)).
+Nothing is solved per generator: each point gets one eps row and one
+domain row per diagram, a generator's data is the sum of its points' rows,
+and every check is a sum check.  The residual is 0, a domain D(a, g) from
+the class's first member exists and solves the jump system, and
+4 mu(D(a, g)) is divisible by 4; gr(g) = -mu(D(a, g)).
 With a zero periodic lattice D(x, y) = D(a, y) - D(a, x) and
 mu(x, y) = gr(x) - gr(y), so only pairs one grading apart with
 D(x, y) >= 0 can count, and each member meets only those one grading
@@ -140,19 +138,10 @@ class SpinAssignment:
 
 
 def _summed_rows(rows: dict, gens: tuple[Generator, ...], width: int):
-    """Per generator, the sum of its points' rows as a fresh list; each
-    generator reuses the partial sums over its leading points that it
-    shares with the one before."""
-    sums, prev = [[0] * width], ()
+    """Per generator, the sum of its points' rows."""
     for g in gens:
-        pts, k = g.points, 0
-        while k < min(len(pts), len(prev)) and pts[k] == prev[k]:
-            k += 1
-        del sums[k + 1:]
-        for p in pts[k:]:
-            sums.append(list(map(add, sums[-1], rows[p])))
-        prev = pts
-        yield sums[-1]
+        cols = zip([0] * width, *(rows[p] for p in g.points))
+        yield [sum(col) for col in cols]
 
 
 def _eps_points(s, base: Generator) -> tuple[dict, tuple[int, int]]:
@@ -271,7 +260,7 @@ class Undetermined:
 
 
 def _domain_points(s) -> tuple[dict, tuple[int, int, int, int]]:
-    """(rows, cuts): rows[p] = X_p + N_p + F_p + L b_p, cuts the part ends.
+    """(rows, cuts): rows[p] = X_p + N_p + F_p + b_p, cuts the part ends.
 
     A domain from x to y solves A D = b(y) - b(x), b(g) the sum of b_p over
     g.  X_p, F_p are the jump solver's parts of b_p, L its lcm, and N_p
@@ -283,8 +272,7 @@ def _domain_points(s) -> tuple[dict, tuple[int, int, int, int]]:
         b = [sign * (q == p) for sign, q in meta]
         corners = Counter(s.quadrant[p].values())
         x, f = solver.parts(b)
-        rows[p] = (x + tuple(corners[ri] for ri in s.interior) + f
-                   + tuple(solver.lcm * y for y in b))
+        rows[p] = x + tuple(corners[ri] for ri in s.interior) + f + tuple(b)
     n, f = solver.n, solver.m - solver.rank
     return rows, (n, 2 * n, 2 * n + f, 2 * n + f + solver.m)
 
@@ -293,7 +281,7 @@ def _class_tables(s, gens: tuple[Generator, ...],
                   assignments: tuple[SpinAssignment, ...]):
     """Per class, (g, D(a, g), gr(g) = -mu(D(a, g))) per member g, a its first.
 
-    Y(g) - Y(a), Y the summed point rows, holds X, F and L b from a to g: a
+    Y(g) - Y(a), Y the summed point rows, holds X, F and b from a to g: a
     domain exists when F = 0 and L divides X, D(a, g) = X / L must solve
     A D = b, and 4 mu = (e + N(a) + N(g)) . D(a, g), e the Euler row.  eps
     vanishes exactly when a domain exists, so classes differ in (F, X mod L).
@@ -339,29 +327,28 @@ def _differential(d: Diagram, gens: tuple[Generator, ...],
         by_grading: dict = {}
         for row in table:
             by_grading.setdefault(row[2], []).append(row)
-        for i, di, gi in table:
-            for j, dj, _ in by_grading.get(gi - 1, ()):
-                if not all(map(le, di, dj)):
-                    continue
-                if not nice:
-                    return tables, Undetermined()
-                dom = tuple(q - p for p, q in zip(di, dj))
-                shared = set(gens[i].points) & set(gens[j].points)
-                moved = len(gens[i].points) - len(shared)
-                if max(dom) > 1:
-                    fault = "a multiplicity above 1"
-                elif not 1 <= moved <= 2:
-                    fault = f"{moved} moved coordinates"
-                elif any(dom[r] for p in shared
-                         for r in s.quadrant[p].values()):
-                    fault = "a covered corner at a shared point"
-                else:
-                    ones.add((i, j))
-                    continue
-                raise AssertionError(
-                    f"positive index-1 domain from {gens[i]} to {gens[j]} "
-                    f"on a nice diagram has {fault}, so it is not an empty "
-                    f"bigon or rectangle")
+        pairs = ((x, y) for x in table for y in by_grading.get(x[2] - 1, ()))
+        for (i, di, _), (j, dj, _) in pairs:
+            if not all(map(le, di, dj)):
+                continue
+            if not nice:
+                return tables, Undetermined()
+            dom = tuple(q - p for p, q in zip(di, dj))
+            shared = set(gens[i].points) & set(gens[j].points)
+            moved = len(gens[i].points) - len(shared)
+            if max(dom) > 1:
+                fault = "a multiplicity above 1"
+            elif not 1 <= moved <= 2:
+                fault = f"{moved} moved coordinates"
+            elif any(dom[r] for p in shared for r in s.quadrant[p].values()):
+                fault = "a covered corner at a shared point"
+            else:
+                ones.add((i, j))
+                continue
+            raise AssertionError(
+                f"positive index-1 domain from {gens[i]} to {gens[j]} on a "
+                f"nice diagram has {fault}, so it is not an empty bigon or "
+                f"rectangle")
     if not nice:
         return tables, ZeroCertificate()
     return tables, Exact(tuple(sorted(ones)))

@@ -336,12 +336,10 @@ def test_solve_recovers_constructed_rhs(a, data):
 @settings(max_examples=60, deadline=None)
 @given(matrices, st.data())
 def test_sparse_map_products_match_dense(a, data):
-    m, n = len(a), len(a[0])
+    n = len(a[0])
     v = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
-    u = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
     sparse = SparseMap(a)
     assert sparse @ v == mat_vec(a, v)
-    assert u @ sparse == mat_vec([list(col) for col in zip(*a)], u)
     with pytest.raises(ValueError, match="does not match"):
         sparse @ (v + [0])
     with pytest.raises(ValueError, match="not rectangular"):

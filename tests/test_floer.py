@@ -22,7 +22,7 @@ import pytest
 
 from sfhpoly import diagram, exactalg, floer
 from sfhpoly.builders import (build_base, build_elementary_piece, build_tpqn,
-                              stabilize)
+                              glue, stabilize)
 from sfhpoly.diagram import (Curve, Diagram, Region, diagram_index,
                              h1_presentation)
 from sfhpoly.floer import (
@@ -483,6 +483,19 @@ ORACLE_POOL.update({
     for n in range(2, 11, 2)})
 
 
+def doubled_tpqn(p: int, q: int, n: int) -> Diagram:
+    """T(p,q;n) glued to itself along s0: its jump system's Smith form has
+    the diagonal entry p, so a domain is X / L with L = p."""
+    return glue(build_tpqn(p, q, n), "s0", build_tpqn(p, q, n), "s0")
+
+
+SCALED_POOL = {
+    "T(2,1;4)+T(2,1;4)": lambda: doubled_tpqn(2, 1, 4),
+    "T(3,1;4)+T(3,1;4)": lambda: doubled_tpqn(3, 1, 4),
+}
+ORACLE_POOL.update(SCALED_POOL)
+
+
 @pytest.mark.parametrize("name", ORACLE_POOL)
 def test_differential_matches_pairwise_oracle(name):
     d = ORACLE_POOL[name]()
@@ -501,6 +514,24 @@ def test_differential_matches_pairwise_oracle(name):
             homology(d)
     else:
         assert [row.gradings for row in homology(d).classes] == gradings
+
+
+@pytest.mark.parametrize("name", SCALED_POOL)
+def test_class_tables_match_pairwise_domains_when_l_exceeds_one(name):
+    """With L > 1 the summed X is L times the domain, and each table entry
+    must still be connecting_domain and -maslov_index from the anchor."""
+    d = SCALED_POOL[name]()
+    s = diagram_index(d)
+    assert s.jump[1].lcm > 1 and s.lattice.rank == 0
+    gens = enumerate_generators(d)
+    tables = floer._class_tables(s, gens, partition_spinc(d, gens))
+    assert max(map(len, tables)) > 1
+    for table in tables:
+        a = gens[table[0][0]]
+        for g, dom, gr in table:
+            want = connecting_domain(d, a, gens[g])
+            assert dom == want.multiplicities
+            assert gr == -maslov_index(d, want, a, gens[g])
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +767,15 @@ def test_a_bumped_table_entry_raises_from_its_sum_check(
                         _bumped(getattr(floer, table), part, pick))
     with pytest.raises((AssertionError, NonIntegerIndex), match=error):
         homology(d)
+
+
+def test_an_x_part_that_l_does_not_divide_raises(monkeypatch):
+    """With L = 2, X_p raised by 1 at a point of a second class member
+    leaves X(g) - X(a) odd: no integer domain joins the two members."""
+    monkeypatch.setattr(floer, "_domain_points", _bumped(
+        floer._domain_points, 0, _in_second_not_anchor))
+    with pytest.raises(AssertionError, match="no unique domain within"):
+        homology(doubled_tpqn(2, 1, 4))
 
 
 def test_a_split_class_raises_from_the_class_domain_check(monkeypatch):
