@@ -28,8 +28,7 @@ from functools import cached_property
 from math import lcm
 from operator import sub
 
-from .exactalg import LinearSolver, SparseMap, integer_kernel_basis, \
-    smith_normal_form, unimodular_inverse
+from .exactalg import LinearSolver, SparseMap, smith_normal_form
 
 
 class Disconnected(ValueError):
@@ -582,24 +581,20 @@ def is_nice(d: Diagram) -> NicenessResult:
 class _CycleCoords:
     """Coordinates of curve-graph cycles in the fixed cycle basis B.
 
-    The arcs outside a spanning forest of the curve graph, and the
-    boundary circles, which are loops, are the non-tree positions N.  A
-    cycle is fixed by its entries on N, so restriction to N maps the cycle
-    lattice isomorphically onto Z^N; B is a basis of that lattice, so B on
-    the rows N is a square unimodular matrix M, and x = M^-1 z[N] are the
-    coordinates of a cycle z.  A chain z that is not a cycle fails the
-    substitution check B x = z.  B and M^-1 are sparse maps.
+    B is V[:, r:] for the Smith form U bd V = D of the curve-graph
+    boundary map bd, of rank r.  A cycle z = B x has V^-1 z = (0, x), so
+    x = V^-1[r:] z are its coordinates.  A chain z that is not a cycle
+    fails the substitution check B x = z.  B and V^-1[r:] are sparse maps.
     """
 
     arc_pos: dict
     circle_pos: dict
     basis: SparseMap                        # B, one row per chain position
-    nontree: tuple[int, ...]
-    inverse: SparseMap                      # M^-1
+    coords: SparseMap                       # V^-1[r:]
 
     def read_off(self, chain: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(x, B x - z) for a 1-chain z {(curve, arc) or circle id -> mult},
-        x = M^-1 z[N]; both are linear in z, and the residual B x - z is
+        x = V^-1[r:] z; both are linear in z, and the residual B x - z is
         zero exactly when z is a cycle."""
         z = [0] * self.basis.m
         for key, mult in chain.items():
@@ -607,7 +602,7 @@ class _CycleCoords:
             if pos is None:
                 pos = self.circle_pos[key]
             z[pos] += mult
-        x = self.inverse @ [z[i] for i in self.nontree]
+        x = self.coords @ z
         return x, tuple(map(sub, self.basis @ x, z))
 
 
@@ -618,9 +613,8 @@ class H1Presentation:
     Generators: a saturated basis B of the cycle space of the curve graph
     together with the boundary circles, plus two free generators per unit
     of region genus.  Relations: each region's total boundary, and the
-    class of each full curve.  Cycle coordinates are read off the arcs
-    outside a spanning forest of the curve graph through one inverse,
-    checked twice: B restricted to those arcs must be unimodular, and
+    class of each full curve.  Cycle coordinates are read off through V^-1
+    of the boundary map's Smith form, the same form whose V gives B, and
     every read-off x must satisfy B x = z.  The normalizer reduces any
     generator-coords vector to a canonical coset representative via the
     relation SNF: w = v V is reduced modulo the diagonal and mapped back by
@@ -693,32 +687,17 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
     n = len(arcs) + len(d.boundary_circles)
     point_row = {p: i for i, p in enumerate(s.points)}
 
-    bd = [[0] * n for _ in s.points]
-    root = {p: p for p in s.points}
-
-    def find(p: str) -> str:
-        while root[p] != p:
-            root[p] = root[root[p]]
-            p = root[p]
-        return p
-
-    nontree = []
+    # with no points, one zero row keeps the n columns of the map
+    bd = [[0] * n for _ in s.points] or [[0] * n]
     for ai, (cname, k) in enumerate(arcs):
         start, end = s.curve_by_name[cname].arc_ends(k)
         bd[point_row[end]][ai] += 1
         bd[point_row[start]][ai] -= 1
-        a, b = find(start), find(end)
-        if a == b:
-            nontree.append(ai)
-        else:
-            root[a] = b
-    nontree.extend(circle_pos.values())
-    cycle_basis = integer_kernel_basis(bd) if s.points else \
-        [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    solver = LinearSolver(bd)
+    cycle_basis = solver.kernel_basis()
     basis = [tuple(vec[i] for vec in cycle_basis) for i in range(n)]
     cycles = _CycleCoords(arc_pos, circle_pos, SparseMap(basis),
-                          tuple(nontree), SparseMap(unimodular_inverse(
-                              [basis[i] for i in nontree])))
+                          SparseMap(solver.snf.vinv[solver.rank:], n))
     cycle_rank = len(cycle_basis)
 
     handles = sum(2 * r.genus for r in d.regions)
@@ -754,7 +733,6 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
     snf = smith_normal_form(relations)
     diag = list(snf.diagonal) + [0] * (gen_count - len(snf.diagonal))
     kept = [i for i, x in enumerate(diag) if x != 1]
-    vinv = unimodular_inverse(snf.v)
     return H1Presentation(
         generator_count=gen_count,
         relation_matrix=tuple(tuple(r) for r in relations),
@@ -762,7 +740,7 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
         torsion=tuple(x for x in diag if x > 1),
         _cycles=cycles,
         _v=SparseMap([[row[i] for row in snf.v] for i in kept], gen_count),
-        _vinv=SparseMap([[vinv[i][j] for i in kept]
+        _vinv=SparseMap([[snf.vinv[i][j] for i in kept]
                          for j in range(gen_count)]),
         _diag=tuple(diag[i] for i in kept),
     )

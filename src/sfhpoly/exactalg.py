@@ -2,16 +2,18 @@
 
 Everything runs over Python ints and fractions.Fraction; no floats.  One
 fraction-free elimination routine, `_bareiss`, is the core under every
-determinant, rank and inverse: Bareiss's integer-preserving Gaussian
-elimination (Bareiss 1968), optionally clearing above the pivot too
-(Gauss-Jordan).  The core takes integer matrices only: it works on a copy
-and raises TypeError on any other entry.  Rational points reach it only
+determinant, rank and rational inverse: Bareiss's integer-preserving
+Gaussian elimination (Bareiss 1968), optionally clearing above the pivot
+too (Gauss-Jordan).  The core and the Smith normal form take integer
+matrices only: they work on a copy and raise TypeError on any other entry.  Rational points reach it only
 through convex_hull, which scales them to integers first.  That keeps
 checking cheap, so every result that feeds the calculator is still checked:
 
 * a Smith normal form is re-multiplied (U A V = D), its diagonal shape and
-  divisibility chain are checked, and |det U| = |det V| = 1 is confirmed;
-* a unimodular inverse is refused unless the determinant is +-1;
+  divisibility chain are checked, and U and V are confirmed unimodular by
+  U U^-1 = V V^-1 = I, with the inverses tracked through the same
+  elementary operations (integer matrices whose product is I have
+  determinant +-1);
 * an integer solve is substituted back into A x = b, and every kernel
   vector into A v = 0;
 * a GF(2) rank of bitmask rows is certified both ways: its echelon rows
@@ -213,11 +215,15 @@ def _inverse(a) -> tuple[list[list[int]], int]:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
+    """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ...
+
+    vinv is V^-1, built alongside V.
+    """
 
     u: tuple[tuple[int, ...], ...]
     d: tuple[tuple[int, ...], ...]
     v: tuple[tuple[int, ...], ...]
+    vinv: tuple[tuple[int, ...], ...]
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -235,22 +241,28 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
 
     Classic pivoting: repeatedly move a least-magnitude entry to the pivot
     slot, clear its row and column, and fold non-divisible entries back into
-    the pivot row.  Total, including empty matrices.
+    the pivot row.  Each elementary operation that builds U or V also
+    updates its inverse: a row operation on U is the inverse column
+    operation on U^-1 (kept transposed, so that it is a row operation too),
+    and a column operation on V is the inverse row operation on V^-1.
+    Total, including empty matrices.
     """
-    m, n = _shape(a)
-    d = [[int(x) for x in row] for row in a]
-    u = _identity(m)
-    v = _identity(n)
+    d = _int_rows(a)
+    m, n = _shape(d)
+    u, uinv_t = _identity(m), _identity(m)
+    v, vinv = _identity(n), _identity(n)
 
     def row_sub(i: int, j: int, q: int) -> None:
         d[i] = [x - q * y for x, y in zip(d[i], d[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        uinv_t[j] = [x + q * y for x, y in zip(uinv_t[j], uinv_t[i])]
 
     def col_sub(j: int, i: int, q: int) -> None:
         for row in d:
             row[j] -= q * row[i]
         for row in v:
             row[j] -= q * row[i]
+        vinv[i] = [x + q * y for x, y in zip(vinv[i], vinv[j])]
 
     t = 0
     while t < min(m, n):
@@ -265,14 +277,14 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
                 break
         if pivot is None:
             break
-        if pivot[0] != t:
-            d[t], d[pivot[0]] = d[pivot[0]], d[t]
-            u[t], u[pivot[0]] = u[pivot[0]], u[t]
-        if pivot[1] != t:
-            for row in d:
-                row[t], row[pivot[1]] = row[pivot[1]], row[t]
-            for row in v:
-                row[t], row[pivot[1]] = row[pivot[1]], row[t]
+        pi, pj = pivot
+        if pi != t:
+            for w in (d, u, uinv_t):
+                w[t], w[pi] = w[pi], w[t]
+        if pj != t:
+            for row in d + v:
+                row[t], row[pj] = row[pj], row[t]
+            vinv[t], vinv[pj] = vinv[pj], vinv[t]
 
         dirty = False
         for i in range(m):
@@ -298,20 +310,24 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
             continue
 
         if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            u[t] = [-x for x in u[t]]
+            for w in (d, u, uinv_t):
+                w[t] = [-x for x in w[t]]
         t += 1
 
     result = SNFResult(
         u=tuple(tuple(row) for row in u),
         d=tuple(tuple(row) for row in d),
         v=tuple(tuple(row) for row in v),
+        vinv=tuple(tuple(row) for row in vinv),
     )
-    _verify_snf(a, result)
+    _verify_snf(a, result, [list(col) for col in zip(*uinv_t)])
     return result
 
 
-def _verify_snf(a: list[list[int]], res: SNFResult) -> None:
+def _verify_snf(a: list[list[int]], res: SNFResult,
+                uinv: list[list[int]]) -> None:
+    """Check U A V = D, D's shape and divisibility chain, and U U^-1 = I
+    and V V^-1 = I: integer matrices whose product is I are unimodular."""
     m, n = _shape(a)
     d = res.d
     if m and n:
@@ -327,21 +343,10 @@ def _verify_snf(a: list[list[int]], res: SNFResult) -> None:
             raise AssertionError("SNF verification failed: zero before nonzero")
         if x != 0 and y % x != 0:
             raise AssertionError("SNF verification failed: divisibility chain")
-    if m and abs(exact_det(res.u)) != 1:
+    if mat_mul(res.u, uinv) != _identity(m):
         raise AssertionError("SNF verification failed: U not unimodular")
-    if n and abs(exact_det(res.v)) != 1:
+    if mat_mul(res.v, res.vinv) != _identity(n):
         raise AssertionError("SNF verification failed: V not unimodular")
-
-
-def unimodular_inverse(a: list[list[int]] | tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix (integer entries).
-
-    Raises ValueError unless the matrix is square with determinant +-1.
-    """
-    x, p = _inverse(a)
-    if p != 1:
-        raise ValueError("matrix is not unimodular")
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from conftest import torus_grid
 from sfhpoly.builders import (build_base, build_elementary_piece, build_tpqn,
                               glue, relabel, stabilize)
 from sfhpoly.diagram import h1_presentation, periodic_lattice
-from sfhpoly.exactalg import (convex_hull, mat_mul, smith_normal_form,
-                              unimodular_inverse)
+from sfhpoly.exactalg import (convex_hull, exact_det, mat_mul,
+                              smith_normal_form)
 from sfhpoly.floer import (Domain, Exact, NoDomain, connecting_domain,
                            differential, enumerate_generators, epsilon,
                            homology, maslov_index, partition_spinc)
@@ -245,8 +245,8 @@ def test_criterion_6_property_suites():
             res = smith_normal_form(a)
             u, dd, v = res.u, res.d, res.v
             assert tuple(map(tuple, mat_mul(mat_mul(u, a), v))) == dd
-            unimodular_inverse(u)
-            unimodular_inverse(v)
+            assert abs(exact_det(u)) == 1
+            assert abs(exact_det(v)) == 1
             diag = [dd[i][i] for i in range(min(rows, cols))]
             for x, y in zip(diag, diag[1:]):
                 assert x >= 0 and (x == 0 or y % x == 0)

@@ -15,6 +15,7 @@ Expected values below were computed from those oracles and frozen.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from functools import reduce
@@ -35,6 +36,7 @@ from sfhpoly.exactalg import (
     SparseMap,
     _inverse,
     _rank,
+    _verify_snf,
     body_centroid,
     convex_hull,
     exact_det,
@@ -42,7 +44,6 @@ from sfhpoly.exactalg import (
     integer_kernel_basis,
     mat_mul,
     smith_normal_form,
-    unimodular_inverse,
 )
 
 
@@ -189,6 +190,7 @@ def test_snf_verified_against_minor_oracle(a):
     assert mat_mul(mat_mul(u, a), v) == [list(r) for r in res.d]
     assert abs(exact_det(u)) == 1
     assert abs(exact_det(v)) == 1
+    assert to_sympy(v) * to_sympy(res.vinv) == sympy.eye(len(v))
     diag = res.diagonal
     for x, y in zip(diag, diag[1:]):
         assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
@@ -199,12 +201,25 @@ def test_snf_verified_against_minor_oracle(a):
             assert abs(prod) == minor_gcd(a, k)
 
 
-def test_unimodular_inverse_roundtrip():
-    m = [[2, 1], [1, 1]]
-    inv = unimodular_inverse(m)
-    assert mat_mul(m, inv) == [[1, 0], [0, 1]]
-    with pytest.raises(ValueError):
-        unimodular_inverse([[2, 0], [0, 1]])
+@settings(max_examples=40, deadline=None)
+@given(matrices, st.data())
+def test_verify_snf_refuses_a_bumped_inverse(a, data):
+    """U U^-1 = I and V V^-1 = I certify unimodularity: one entry of
+    either inverse off by one is refused."""
+    res = smith_normal_form(a)
+    uinv = [[int(x) for x in row] for row in to_sympy(res.u).inv().tolist()]
+    _verify_snf(a, res, uinv)
+    i, j = (data.draw(st.integers(0, len(uinv) - 1)) for _ in range(2))
+    uinv[i][j] += 1
+    with pytest.raises(AssertionError, match="U not unimodular"):
+        _verify_snf(a, res, uinv)
+    uinv[i][j] -= 1
+    vinv = [list(row) for row in res.vinv]
+    i, j = (data.draw(st.integers(0, len(vinv) - 1)) for _ in range(2))
+    vinv[i][j] += 1
+    bumped = dataclasses.replace(res, vinv=tuple(map(tuple, vinv)))
+    with pytest.raises(AssertionError, match="V not unimodular"):
+        _verify_snf(a, bumped, uinv)
 
 
 @settings(max_examples=80, deadline=None)
@@ -243,9 +258,13 @@ def test_rank_matches_sympy(a):
 
 def test_elimination_core_refuses_non_ints():
     half = [[Fraction(1, 2), 0], [0, 2]]
-    for fn in (exact_det, _rank, _inverse):
+    for fn in (exact_det, _rank, _inverse, smith_normal_form):
         with pytest.raises(TypeError):
             fn(half)
+    # neither a float with an integer value nor one without is truncated
+    for a in ([[2.5, 1]], [[2.0, 0], [0, 3]]):
+        with pytest.raises(TypeError):
+            smith_normal_form(a)
     assert half == [[Fraction(1, 2), 0], [0, 2]]
     # the core works on a copy of an integer matrix
     a = [[0, 1], [2, 3]]
@@ -256,20 +275,23 @@ def test_elimination_core_refuses_non_ints():
 @settings(max_examples=60, deadline=None)
 @given(unimodular(), st.data())
 def test_unimodular_inverse_of_elementary_products(m, data):
+    """A unimodular m has Smith form D = I, and the V^-1 tracked through
+    the elimination is V's inverse; doubling a row or repeating one
+    leaves a form that is not I."""
     n = len(m)
-    inv = unimodular_inverse(m)
-    assert all(type(x) is int for row in inv for x in row)
-    assert to_sympy(m) * to_sympy(inv) == sympy.eye(n)
+    res = smith_normal_form(m)
+    assert res.d == tuple(tuple(int(i == j) for j in range(n))
+                          for i in range(n))
+    assert all(type(x) is int for row in res.vinv for x in row)
+    assert to_sympy(res.vinv) == to_sympy(res.v).inv()
     i = data.draw(st.integers(0, n - 1))
     doubled = [row if k != i else [2 * x for x in row]
                for k, row in enumerate(m)]
-    with pytest.raises(ValueError):
-        unimodular_inverse(doubled)
+    assert smith_normal_form(doubled).diagonal == (1,) * (n - 1) + (2,)
     if n > 1:
         j = (i + 1) % n
         repeated = [row if k != i else m[j] for k, row in enumerate(m)]
-        with pytest.raises(ValueError):
-            unimodular_inverse(repeated)
+        assert smith_normal_form(repeated).rank == n - 1
 
 
 @settings(max_examples=80, deadline=None)

@@ -16,6 +16,7 @@ import itertools
 import json
 import random
 import weakref
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -804,23 +805,32 @@ def test_context_dies_with_its_diagram():
 
 def test_smith_forms_per_diagram_do_not_grow(monkeypatch):
     calls = []
-    real = exactalg.smith_normal_form
 
-    def counted(a):
-        calls.append(len(a))
-        return real(a)
+    def counted(name):
+        real = getattr(exactalg, name)
 
-    monkeypatch.setattr(exactalg, "smith_normal_form", counted)
-    monkeypatch.setattr(diagram, "smith_normal_form", counted)
+        def wrapped(a):
+            calls.append(name)
+            return real(a)
+        return wrapped
+
+    snf = counted("smith_normal_form")
+    monkeypatch.setattr(exactalg, "smith_normal_form", snf)
+    monkeypatch.setattr(diagram, "smith_normal_form", snf)
+    for name in ("exact_det", "_inverse"):
+        monkeypatch.setattr(exactalg, name, counted(name))
     counts = []
     for n in (8, 14):
         d = build_tpqn(1, 0, n)
         calls.clear()
         homology(d)
-        counts.append(len(calls))
+        counts.append(Counter(calls))
     # the kernel of the curve-graph boundary, the relation matrix of H1
-    # and the jump system; cycle coordinates need no Smith form
-    assert counts == [3, 3]
+    # and the jump system; cycle coordinates come from the boundary form's
+    # V^-1, and each form certifies U and V by their tracked inverses, so
+    # no determinant and no other inverse is taken
+    assert [(c["smith_normal_form"], c["exact_det"], c["_inverse"])
+            for c in counts] == [(3, 0, 0)] * 2
 
 
 def test_homology_makes_no_solve_per_generator(monkeypatch):
