@@ -5,15 +5,16 @@ fraction-free elimination routine, `_bareiss`, is the core under every
 determinant, rank and rational inverse: Bareiss's integer-preserving
 Gaussian elimination (Bareiss 1968), optionally clearing above the pivot
 too (Gauss-Jordan).  The core and the Smith normal form take integer
-matrices only: they work on a copy and raise TypeError on any other entry.  Rational points reach it only
-through convex_hull, which scales them to integers first.  That keeps
-checking cheap, so every result that feeds the calculator is still checked:
+matrices only: they work on a copy and raise TypeError on any other
+entry.  Rational points reach it only through convex_hull, which scales
+them to integers first.  That keeps checking cheap, so every result that
+feeds the calculator is still checked:
 
-* a Smith normal form is re-multiplied (U A V = D), its diagonal shape and
-  divisibility chain are checked, and U and V are confirmed unimodular by
-  U U^-1 = V V^-1 = I, with the inverses tracked through the same
-  elementary operations (integer matrices whose product is I have
-  determinant +-1);
+* a Smith normal form is re-multiplied column by column (U A V = D), its
+  diagonal shape and divisibility chain are checked, and U and V are
+  confirmed unimodular by U U^-1 = V V^-1 = I, again column by column,
+  with the inverses tracked through the same elementary operations
+  (integer matrices whose product is I have determinant +-1);
 * an integer solve is substituted back into A x = b, and every kernel
   vector into A v = 0;
 * a GF(2) rank of bitmask rows is certified both ways: its echelon rows
@@ -26,9 +27,10 @@ A hull, its vertices and its centroid come from one placing
 (beneath-beyond) triangulation on integer coordinates in the affine hull of
 the points: its boundary simplices give the facets and the vertices, its
 full-dimensional simplices the centroid.  Matrices are rectangular lists
-of rows; vectors are tuples.  A fixed matrix that many vectors are
-multiplied by is kept as a SparseMap, its nonzero entries by column, so
-its shape is checked once and a product costs its nonzeros.
+of rows; vectors are tuples.  There is one matrix product: a SparseMap,
+a matrix kept as its nonzero entries by column, applied to a vector, so
+the shape is checked once and a product costs the nonzeros it meets.  A
+product of two matrices is taken a column of the right factor at a time.
 """
 
 from __future__ import annotations
@@ -61,22 +63,14 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _row_times(v, a, n: int) -> list:
-    """Row vector v times the matrix a with n columns, skipping zeros of v."""
-    acc = [0] * n
-    for x, row in zip(v, a):
-        if x:
-            acc = [s + x * y for s, y in zip(acc, row)]
-    return acc
-
-
 class SparseMap:
     """A fixed integer matrix kept as the nonzero entries of its columns.
 
-    The shape is checked once, when the map is built.  `a @ v`, a times the
-    column vector v, then costs the nonzero entries of a in the columns
-    where v is nonzero.  A row vector times a matrix is its transpose's
-    map applied to the vector.
+    `a @ v`, a times the column vector v, is the only matrix product here.
+    The shape is checked once, when the map is built; a product then costs
+    the nonzero entries of a in the columns where v is nonzero.  A row
+    vector times a matrix is its transpose's map applied to the vector,
+    and a times a matrix is a applied to each column of it.
     """
 
     def __init__(self, a, n: int = 0):
@@ -95,14 +89,6 @@ class SparseMap:
                 for i, y in col:
                     acc[i] += x * y
         return tuple(acc)
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    ma, na = _shape(a)
-    mb, nb = _shape(b)
-    if na != mb:
-        raise ValueError(f"cannot multiply {ma}x{na} by {mb}x{nb}")
-    return [_row_times(row, b, nb) for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +306,25 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
         v=tuple(tuple(row) for row in v),
         vinv=tuple(tuple(row) for row in vinv),
     )
-    _verify_snf(a, result, [list(col) for col in zip(*uinv_t)])
+    _verify_snf(a, result, uinv_t)
     return result
 
 
 def _verify_snf(a: list[list[int]], res: SNFResult,
-                uinv: list[list[int]]) -> None:
+                uinv_cols: list[list[int]]) -> None:
     """Check U A V = D, D's shape and divisibility chain, and U U^-1 = I
-    and V V^-1 = I: integer matrices whose product is I are unimodular."""
+    and V V^-1 = I: integer matrices whose product is I are unimodular.
+
+    uinv_cols are the columns of U^-1.  Every product is a sparse map
+    applied to one column at a time: U (A (column j of V)) must be column
+    j of D, and U times column j of U^-1 and V times column j of V^-1 must
+    be the unit vector e_j.
+    """
     m, n = _shape(a)
     d = res.d
-    if m and n:
-        if mat_mul(mat_mul(res.u, a), res.v) != [list(r) for r in d]:
-            raise AssertionError("SNF verification failed: U*A*V != D")
+    u, v, a_map = SparseMap(res.u, m), SparseMap(res.v, n), SparseMap(a, n)
+    if [u @ (a_map @ col) for col in zip(*res.v)] != list(zip(*d)):
+        raise AssertionError("SNF verification failed: U*A*V != D")
     for i in range(m):
         for j in range(n):
             if i != j and d[i][j] != 0:
@@ -343,9 +335,9 @@ def _verify_snf(a: list[list[int]], res: SNFResult,
             raise AssertionError("SNF verification failed: zero before nonzero")
         if x != 0 and y % x != 0:
             raise AssertionError("SNF verification failed: divisibility chain")
-    if mat_mul(res.u, uinv) != _identity(m):
+    if [list(u @ col) for col in uinv_cols] != _identity(m):
         raise AssertionError("SNF verification failed: U not unimodular")
-    if mat_mul(res.v, res.vinv) != _identity(n):
+    if [list(v @ col) for col in zip(*res.vinv)] != _identity(n):
         raise AssertionError("SNF verification failed: V not unimodular")
 
 
@@ -514,11 +506,11 @@ def _affine_reduce(pts: list[tuple[int, ...]]):
     if dim == 0:
         return origin, basis, 1, [() for _ in pts], start
     # c . B = p - origin read off dim independent columns J of B:
-    # c = (p - origin)[J] . M^-1 with M = B[:, J] and M^-1 = X / q
+    # c = M^-T (p - origin)[J] with M = B[:, J] and M^-T = X / q
     cols = _bareiss([row[:] for row in basis], ambient)[0]
-    x, q = _inverse([[row[j] for j in cols] for row in basis])
-    coords = [_row_times([p[j] - origin[j] for j in cols], x, dim)
-              for p in pts]
+    x, q = _inverse([[row[j] for row in basis] for j in cols])
+    x = SparseMap(x)
+    coords = [x @ [p[j] - origin[j] for j in cols] for p in pts]
     g = gcd(q, *[c for row in coords for c in row])
     return ([q // g * o for o in origin], basis, q // g,
             [tuple(c // g for c in row) for row in coords], start)
@@ -631,12 +623,13 @@ def convex_hull(points) -> RatPolytope:
     simplices, boundary = _placing(coords, start)
     red_facets = {(normal, offset) for normal, offset, _ in boundary.values()}
     # n . c >= off pulls back along scale x = origin + c . B: with the Gram
-    # matrix G = B B^T and G^-1 = Y / q, a = n Y B has a . (scale x - origin)
-    # = q n . c
+    # matrix G = B B^T and G^-1 = Y / q, a = B^T Y n (Y is symmetric) has
+    # a . (scale x - origin) = q n . c
     y, q = _inverse([[sum(map(mul, bi, bj)) for bj in basis] for bi in basis])
+    y, bt = SparseMap(y), SparseMap(list(zip(*basis)))
     facets = set()
     for normal, offset in red_facets:
-        amb = _row_times(_row_times(normal, y, dim), basis, ambient)
+        amb = bt @ (y @ normal)
         g = gcd(*amb)
         if g == 0:
             raise AssertionError("hull verification failed: zero facet normal")
@@ -656,7 +649,7 @@ def convex_hull(points) -> RatPolytope:
                 raise AssertionError("hull verification failed: point outside facet")
     acc, k = _centroid(coords, simplices, boundary)
     centroid = tuple(Fraction(k * o + x, scale * k)
-                     for o, x in zip(origin, _row_times(acc, basis, ambient)))
+                     for o, x in zip(origin, bt @ acc))
     return RatPolytope(ambient, vertices, tuple(facets), dim, centroid)
 
 

@@ -33,6 +33,7 @@ from sympy.polys.matrices import DomainMatrix
 from sfhpoly.exactalg import (
     EmptyInput,
     LinearSolver,
+    SNFResult,
     SparseMap,
     _inverse,
     _rank,
@@ -42,7 +43,6 @@ from sfhpoly.exactalg import (
     exact_det,
     gf2_rank_kernel,
     integer_kernel_basis,
-    mat_mul,
     smith_normal_form,
 )
 
@@ -187,7 +187,7 @@ def test_snf_verified_against_minor_oracle(a):
     res = smith_normal_form(a)
     u = [list(r) for r in res.u]
     v = [list(r) for r in res.v]
-    assert mat_mul(mat_mul(u, a), v) == [list(r) for r in res.d]
+    assert to_sympy(u) * to_sympy(a) * to_sympy(v) == to_sympy(res.d)
     assert abs(exact_det(u)) == 1
     assert abs(exact_det(v)) == 1
     assert to_sympy(v) * to_sympy(res.vinv) == sympy.eye(len(v))
@@ -205,9 +205,9 @@ def test_snf_verified_against_minor_oracle(a):
 @given(matrices, st.data())
 def test_verify_snf_refuses_a_bumped_inverse(a, data):
     """U U^-1 = I and V V^-1 = I certify unimodularity: one entry of
-    either inverse off by one is refused."""
+    either inverse off by one is refused.  U^-1 is passed by columns."""
     res = smith_normal_form(a)
-    uinv = [[int(x) for x in row] for row in to_sympy(res.u).inv().tolist()]
+    uinv = [[int(x) for x in row] for row in to_sympy(res.u).inv().T.tolist()]
     _verify_snf(a, res, uinv)
     i, j = (data.draw(st.integers(0, len(uinv) - 1)) for _ in range(2))
     uinv[i][j] += 1
@@ -220,6 +220,63 @@ def test_verify_snf_refuses_a_bumped_inverse(a, data):
     bumped = dataclasses.replace(res, vinv=tuple(map(tuple, vinv)))
     with pytest.raises(AssertionError, match="V not unimodular"):
         _verify_snf(a, bumped, uinv)
+
+
+def bump(rows, i, j):
+    """A copy of the tuple rows with entry (i, j) one larger."""
+    out = [list(row) for row in rows]
+    out[i][j] += 1
+    return tuple(map(tuple, out))
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices, st.data())
+def test_verify_snf_refuses_a_bumped_transform_or_form(a, data):
+    """One entry of U, of V, or of D off its diagonal, off by one, is
+    refused; D's bump is refused as a wrong product, and again as not
+    diagonal when A is changed to match it."""
+    res = smith_normal_form(a)
+    m, n = len(a), len(a[0])
+    uinv = [[int(x) for x in row] for row in to_sympy(res.u).inv().T.tolist()]
+    for field, size, unimodular in (("u", m, "U"), ("v", n, "V")):
+        i, j = (data.draw(st.integers(0, size - 1)) for _ in range(2))
+        bumped = dataclasses.replace(res, **{field: bump(getattr(res, field),
+                                                          i, j)})
+        with pytest.raises(AssertionError, match=r"U\*A\*V != D|"
+                           f"{unimodular} not unimodular"):
+            _verify_snf(a, bumped, uinv)
+    off = [(i, j) for i in range(m) for j in range(n) if i != j]
+    if off:
+        bumped = dataclasses.replace(res, d=bump(res.d, *data.draw(
+            st.sampled_from(off))))
+        with pytest.raises(AssertionError, match=r"U\*A\*V != D"):
+            _verify_snf(a, bumped, uinv)
+        a2 = to_sympy(res.u).inv() * to_sympy(bumped.d) * to_sympy(res.vinv)
+        with pytest.raises(AssertionError, match="D not diagonal"):
+            _verify_snf([[int(x) for x in row] for row in a2.tolist()],
+                        bumped, uinv)
+
+
+@pytest.mark.parametrize("diag, message", [
+    ((2, 3), "divisibility chain"),
+    ((0, 1), "zero before nonzero")])
+def test_verify_snf_refuses_a_broken_diagonal(diag, message):
+    d = ((diag[0], 0), (0, diag[1]))
+    eye = ((1, 0), (0, 1))
+    res = SNFResult(u=eye, d=d, v=eye, vinv=eye)
+    with pytest.raises(AssertionError, match=message):
+        _verify_snf([list(row) for row in d], res, [list(r) for r in eye])
+
+
+@pytest.mark.parametrize("a, d, u, v", [
+    ([[]], ((),), ((1,),), ()),
+    ([[0, 0, 0]], ((0, 0, 0),), ((1,),),
+     ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    ([[0], [0]], ((0,), (0,)), ((1, 0), (0, 1)), ((1,),))])
+def test_snf_edge_shapes(a, d, u, v):
+    res = smith_normal_form(a)
+    assert (res.d, res.u, res.v, res.vinv) == (d, u, v, v)
+    assert res.rank == 0
 
 
 @settings(max_examples=80, deadline=None)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from sfhpoly.builders import build_tpqn
+from sfhpoly.builders import build_tpqn, glue, stabilize
 from sfhpoly.shdcli import emit_shd, run_command
 
 HERE = Path(__file__).resolve().parent
@@ -36,7 +36,21 @@ DIAGRAMS = {
 DIAGRAMS.update({f"T(1,0;{n})": (lambda n=n: build_tpqn(1, 0, n))
                  for n in (8, 10, 12, 14, 16)})
 DIAGRAMS.update({f"G({n},{k})": (lambda n=n, k=k: grid_knot(n, k))
-                 for n, k in ((3, 1), (4, 1), (5, 2))})
+                 for n, k in ((3, 1), (4, 1), (5, 2), (4, 2))})
+# glued diagrams, the first three with torsion in H1 (non-unit pivots in
+# the relation Smith form), and a stabilization
+DIAGRAMS.update({
+    f"glue(T({p},{q};{n}),{c},T({r},{s};{m}),{e})":
+        (lambda p=p, q=q, n=n, c=c, r=r, s=s, m=m, e=e:
+         glue(build_tpqn(p, q, n), c, build_tpqn(r, s, m), e))
+    for (p, q, n, c), (r, s, m, e) in (
+        ((2, 1, 2, "s0"), (2, 1, 2, "s0")),
+        ((2, 1, 4, "s0"), (2, 1, 4, "s0")),
+        ((3, 1, 4, "s0"), (3, 1, 4, "s0")),
+        ((1, 0, 4, "e0_s2"), (3, 1, 4, "s0")),
+        ((5, 2, 4, "s0"), (3, 2, 2, "s1")))})
+DIAGRAMS["stabilize(T(1,0;6),e1_r3)"] = \
+    lambda: stabilize(build_tpqn(1, 0, 6), "e1_r3")
 
 COMMANDS = {
     "validate": ["validate"],
@@ -68,7 +82,7 @@ def digests(name: str, workdir: Path) -> dict[str, list]:
 
 
 def test_golden_table_covers_the_family(golden):
-    assert set(golden) == set(DIAGRAMS) and len(DIAGRAMS) == 38
+    assert set(golden) == set(DIAGRAMS) and len(DIAGRAMS) == 45
     assert all(set(v) == set(COMMANDS) for v in golden.values())
 
 
