@@ -14,7 +14,9 @@ feeds the calculator is still checked:
   diagonal shape and divisibility chain are checked, and U and V are
   confirmed unimodular by U U^-1 = V V^-1 = I, again column by column,
   with the inverses tracked through the same elementary operations
-  (integer matrices whose product is I have determinant +-1);
+  (integer matrices whose product is I have determinant +-1).  V is kept
+  by columns and each pivot's inverse updates are batched, and the form
+  carries the maps of A, U and V its check built, for solvers to reuse;
 * an integer solve is substituted back into A x = b, and every kernel
   vector into A v = 0;
 * a GF(2) rank of bitmask rows is certified both ways: its echelon rows
@@ -60,7 +62,10 @@ def _shape(a: list[list[int]]) -> tuple[int, int]:
 
 
 def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 class SparseMap:
@@ -203,13 +208,17 @@ def _inverse(a) -> tuple[list[list[int]], int]:
 class SNFResult:
     """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    vinv is V^-1, built alongside V.
+    vinv is V^-1, built alongside V.  a_map, u_map and v_map are the maps
+    of A, U and V that the certificate built; comparisons ignore them.
     """
 
     u: tuple[tuple[int, ...], ...]
     d: tuple[tuple[int, ...], ...]
     v: tuple[tuple[int, ...], ...]
     vinv: tuple[tuple[int, ...], ...]
+    a_map: SparseMap | None = field(default=None, compare=False, repr=False)
+    u_map: SparseMap | None = field(default=None, compare=False, repr=False)
+    v_map: SparseMap | None = field(default=None, compare=False, repr=False)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -226,39 +235,30 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
     """Smith normal form with unimodular transforms, verified by multiplication.
 
     Classic pivoting: repeatedly move a least-magnitude entry to the pivot
-    slot, clear its row and column, and fold non-divisible entries back into
-    the pivot row.  Each elementary operation that builds U or V also
-    updates its inverse: a row operation on U is the inverse column
+    slot, clear its column and then its row, and fold non-divisible entries
+    back into the pivot row.  Each elementary operation that builds U or V
+    also updates its inverse: a row operation on U is the inverse column
     operation on U^-1 (kept transposed, so that it is a row operation too),
-    and a column operation on V is the inverse row operation on V^-1.
-    Total, including empty matrices.
+    and a column operation on V is the inverse row operation on V^-1.  V is
+    kept by columns, so that is row work too, and a column operation on D
+    touches only the rows nonzero in the pivot column.  The inverse updates
+    of one clearing read rows that nothing else in it writes, so each is
+    one running sum into the pivot row.  Total, including empty matrices;
+    the result carries the maps its certificate built and checked.
     """
     d = _int_rows(a)
     m, n = _shape(d)
     u, uinv_t = _identity(m), _identity(m)
-    v, vinv = _identity(n), _identity(n)
-
-    def row_sub(i: int, j: int, q: int) -> None:
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-        uinv_t[j] = [x + q * y for x, y in zip(uinv_t[j], uinv_t[i])]
-
-    def col_sub(j: int, i: int, q: int) -> None:
-        for row in d:
-            row[j] -= q * row[i]
-        for row in v:
-            row[j] -= q * row[i]
-        vinv[i] = [x + q * y for x, y in zip(vinv[i], vinv[j])]
+    vt, vinv = _identity(n), _identity(n)       # vt[j] is column j of V
 
     t = 0
     while t < min(m, n):
         pivot, best = None, 0
         for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                x = abs(row[j])
-                if x and (pivot is None or x < best):
-                    pivot, best = (i, j), x
+            row = list(map(abs, d[i][t:]))
+            x = min(filter(None, row), default=0)
+            if x and (pivot is None or x < best):
+                pivot, best = (i, t + row.index(x)), x
             if best == 1:           # no entry is smaller than a unit
                 break
         if pivot is None:
@@ -268,77 +268,89 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
             for w in (d, u, uinv_t):
                 w[t], w[pi] = w[pi], w[t]
         if pj != t:
-            for row in d + v:
+            for row in d:
                 row[t], row[pj] = row[pj], row[t]
-            vinv[t], vinv[pj] = vinv[pj], vinv[t]
+            for w in (vt, vinv):
+                w[t], w[pj] = w[pj], w[t]
 
-        dirty = False
+        dt, ut, p = d[t], u[t], d[t][t]
+        dirty, acc = False, uinv_t[t]
         for i in range(m):
             if i != t and d[i][t] != 0:
-                row_sub(i, t, d[i][t] // d[t][t])
+                q = d[i][t] // p
+                d[i] = [x - q * y for x, y in zip(d[i], dt)]
+                u[i] = [x - q * y for x, y in zip(u[i], ut)]
+                acc = [x + q * y for x, y in zip(acc, uinv_t[i])]
                 dirty = dirty or d[i][t] != 0
+        uinv_t[t] = acc
+        rows, vtt, acc = [row for row in d if row[t]], vt[t], vinv[t]
         for j in range(n):
-            if j != t and d[t][j] != 0:
-                col_sub(j, t, d[t][j] // d[t][t])
-                dirty = dirty or d[t][j] != 0
+            if j != t and dt[j] != 0:
+                q = dt[j] // p
+                for row in rows:
+                    row[j] -= q * row[t]
+                vt[j] = [x - q * y for x, y in zip(vt[j], vtt)]
+                acc = [x + q * y for x, y in zip(acc, vinv[j])]
+                dirty = dirty or dt[j] != 0
+        vinv[t] = acc
         if dirty:
             continue
 
         offender = None
-        p = d[t][t]
         if abs(p) != 1:             # a unit divides everything
             for i in range(t + 1, m):
                 if any(x % p for x in d[i][t + 1:]):
                     offender = i
                     break
         if offender is not None:
-            row_sub(t, offender, -1)
+            for w, i, j, q in ((d, t, offender, 1), (u, t, offender, 1),
+                               (uinv_t, offender, t, -1)):
+                w[i] = [x + q * y for x, y in zip(w[i], w[j])]
             continue
 
-        if d[t][t] < 0:
+        if p < 0:
             for w in (d, u, uinv_t):
                 w[t] = [-x for x in w[t]]
         t += 1
 
-    result = SNFResult(
-        u=tuple(tuple(row) for row in u),
-        d=tuple(tuple(row) for row in d),
-        v=tuple(tuple(row) for row in v),
-        vinv=tuple(tuple(row) for row in vinv),
-    )
-    _verify_snf(a, result, uinv_t)
-    return result
+    result = SNFResult(u=tuple(map(tuple, u)), d=tuple(map(tuple, d)),
+                       v=tuple(zip(*vt)), vinv=tuple(map(tuple, vinv)))
+    return SNFResult(result.u, result.d, result.v, result.vinv,
+                     *_verify_snf(a, result, uinv_t))
 
 
 def _verify_snf(a: list[list[int]], res: SNFResult,
-                uinv_cols: list[list[int]]) -> None:
+                uinv_cols: list[list[int]]) -> tuple[SparseMap, ...]:
     """Check U A V = D, D's shape and divisibility chain, and U U^-1 = I
     and V V^-1 = I: integer matrices whose product is I are unimodular.
 
     uinv_cols are the columns of U^-1.  Every product is a sparse map
     applied to one column at a time: U (A (column j of V)) must be column
     j of D, and U times column j of U^-1 and V times column j of V^-1 must
-    be the unit vector e_j.
+    be the unit vector e_j.  Returns the maps of A, U and V it checked.
     """
     m, n = _shape(a)
     d = res.d
     u, v, a_map = SparseMap(res.u, m), SparseMap(res.v, n), SparseMap(a, n)
     if [u @ (a_map @ col) for col in zip(*res.v)] != list(zip(*d)):
         raise AssertionError("SNF verification failed: U*A*V != D")
-    for i in range(m):
-        for j in range(n):
-            if i != j and d[i][j] != 0:
-                raise AssertionError("SNF verification failed: D not diagonal")
+    for i, row in enumerate(d):
+        if any(row[:i]) or any(row[i + 1:]):
+            raise AssertionError("SNF verification failed: D not diagonal")
     diag = res.diagonal
     for x, y in zip(diag, diag[1:]):
         if x == 0 and y != 0:
             raise AssertionError("SNF verification failed: zero before nonzero")
         if x != 0 and y % x != 0:
             raise AssertionError("SNF verification failed: divisibility chain")
-    if [list(u @ col) for col in uinv_cols] != _identity(m):
-        raise AssertionError("SNF verification failed: U not unimodular")
-    if [list(v @ col) for col in zip(*res.vinv)] != _identity(n):
-        raise AssertionError("SNF verification failed: V not unimodular")
+    for f, cols, k, name in ((u, uinv_cols, m, "U"),
+                             (v, list(zip(*res.vinv)), n, "V")):
+        if f.m != k or len(cols) != k or any(
+                e[j] != 1 or e.count(0) != k - 1
+                for j, e in enumerate(f @ col for col in cols)):
+            raise AssertionError(f"SNF verification failed: "
+                                 f"{name} not unimodular")
+    return a_map, u, v
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +366,20 @@ class LinearSolver:
     """A x = b solver over the integers with a precomputed factorization.
 
     Callers that solve against one matrix many times (connecting domains)
-    keep one of these around.  Products go through sparse maps of A
-    (`a_map`) and of the Smith form's U and V; L (`lcm`) is the lcm of the
-    nonzero diagonal entries of D = U A V.
+    keep one of these around.  Products go through the sparse maps of A
+    (`a_map`) and of the Smith form's U and V that its certificate built
+    and checked; L (`lcm`) is the lcm of the nonzero diagonal entries of
+    D = U A V, which are kept once.
     """
 
     def __init__(self, a: list[list[int]]):
         self.m, self.n = _shape(a)
         self.a = [list(row) for row in a]
-        self.a_map = SparseMap(self.a)
         self.snf = smith_normal_form(a)
-        self.rank = self.snf.rank
-        self.lcm = lcm(*self.snf.diagonal[:self.rank])
-        self._u, self._v = SparseMap(self.snf.u), SparseMap(self.snf.v)
+        self.a_map, self._u, self._v = (self.snf.a_map, self.snf.u_map,
+                                        self.snf.v_map)
+        self._diag = tuple(x for x in self.snf.diagonal if x)
+        self.rank, self.lcm = len(self._diag), lcm(*self._diag)
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Basis of the saturated lattice {v : A v = 0}, verified.
@@ -374,8 +387,7 @@ class LinearSolver:
         The kernel is read off the column transform of the Smith normal
         form: columns of V beyond the rank map to zero columns of D.
         """
-        basis = [tuple(self.snf.v[i][j] for i in range(self.n))
-                 for j in range(self.rank, self.n)]
+        basis = list(zip(*self.snf.v))[self.rank:]
         for vec in basis:
             if any(self.a_map @ vec):
                 raise AssertionError("kernel verification failed")
@@ -392,9 +404,8 @@ class LinearSolver:
         if len(b) != self.m:
             raise ValueError("right-hand side has the wrong length")
         c = self._u @ b
-        r = self.rank
-        z = [self.lcm // d * y for d, y in zip(self.snf.diagonal, c[:r])]
-        return self._v @ (z + [0] * (self.n - r)), c[r:]
+        z = [self.lcm // d * y for d, y in zip(self._diag, c)]
+        return self._v @ (z + [0] * (self.n - self.rank)), c[self.rank:]
 
     def solve(self, b: tuple[int, ...] | list[int]) -> tuple[int, ...] | None:
         """One integer solution of A x = b, or None when infeasible."""

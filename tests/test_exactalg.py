@@ -16,12 +16,15 @@ Expected values below were computed from those oracles and frozen.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import xor
+from pathlib import Path
 
 import pytest
 import sympy
@@ -30,6 +33,8 @@ from sympy import GF
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.matrices import DomainMatrix
 
+from sfhpoly import diagram, exactalg
+from sfhpoly.builders import build_tpqn, glue
 from sfhpoly.exactalg import (
     EmptyInput,
     LinearSolver,
@@ -45,6 +50,7 @@ from sfhpoly.exactalg import (
     integer_kernel_basis,
     smith_normal_form,
 )
+from sfhpoly.floer import homology
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +263,19 @@ def test_verify_snf_refuses_a_bumped_transform_or_form(a, data):
                         bumped, uinv)
 
 
+def test_verify_snf_refuses_a_transform_of_the_wrong_shape():
+    """U U^-1 = I is checked in Z^m: a U^-1 short of a column, or a U with
+    a row too many, is refused though each product has e_j's one."""
+    a = [[2, 4], [6, 8]]
+    res = smith_normal_form(a)
+    uinv = [[int(x) for x in row] for row in to_sympy(res.u).inv().T.tolist()]
+    with pytest.raises(AssertionError, match="U not unimodular"):
+        _verify_snf(a, res, uinv[:-1])
+    tall = SNFResult(u=((1,), (1,)), d=((0,), (0,)), v=((1,),), vinv=((1,),))
+    with pytest.raises(AssertionError, match="U not unimodular"):
+        _verify_snf([[0]], tall, [[1]])
+
+
 @pytest.mark.parametrize("diag, message", [
     ((2, 3), "divisibility chain"),
     ((0, 1), "zero before nonzero")])
@@ -286,6 +305,66 @@ def test_snf_diagonal_matches_sympy(a):
     mine = smith_normal_form(a).diagonal
     assert [abs(x) for x in mine] == \
         [abs(int(theirs[i, i])) for i in range(len(mine))]
+
+
+SNF_DIGEST_FILE = Path(__file__).resolve().parent / "snf_digests.json"
+
+
+def snf_corpus() -> list[list[list[int]]]:
+    """400 seeded matrices: shapes 1..9 x 1..9, entries -9..9, mixed
+    densities of nonzero entries."""
+    rng = random.Random(2008)
+    out = []
+    for _ in range(400):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice((0.2, 0.5, 0.8, 1.0))
+        out.append([[rng.randint(-9, 9) if rng.random() < density else 0
+                     for _ in range(n)] for _ in range(m)])
+    return out
+
+
+def diagram_forms(build) -> list[SNFResult]:
+    """The Smith forms that homology makes on one diagram, in order."""
+    forms, real = [], exactalg.smith_normal_form
+
+    def recorded(a):
+        forms.append(real(a))
+        return forms[-1]
+    exactalg.smith_normal_form = diagram.smith_normal_form = recorded
+    try:
+        homology(build())
+    finally:
+        exactalg.smith_normal_form = diagram.smith_normal_form = real
+    return forms
+
+
+SNF_SOURCES = {
+    f"random(2008)[{k}:{k + 50}]":
+        (lambda k=k: [smith_normal_form(a) for a in snf_corpus()[k:k + 50]])
+    for k in range(0, 400, 50)}
+SNF_SOURCES.update({
+    "T(1,0;8)": lambda: diagram_forms(lambda: build_tpqn(1, 0, 8)),
+    "T(7,1;6)": lambda: diagram_forms(lambda: build_tpqn(7, 1, 6)),
+    'glue(T(2,1;2),"s0",T(2,1;2),"s0")': lambda: diagram_forms(
+        lambda: glue(build_tpqn(2, 1, 2), "s0", build_tpqn(2, 1, 2), "s0")),
+})
+
+
+def snf_digest(forms: list[SNFResult]) -> str:
+    """SHA-256 of the transforms and forms, (u, d, v, vinv) each."""
+    return hashlib.sha256(repr([(r.u, r.d, r.v, r.vinv) for r in forms])
+                          .encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", SNF_SOURCES)
+def test_snf_transforms_are_pinned(name):
+    """Every pivot is pinned, not only the diagonal: U, D, V and V^-1 hash
+    to digests written by running this file as a script
+    (`PYTHONPATH=src python3 tests/test_exactalg.py`), never regenerated
+    to make a change pass."""
+    pinned = json.loads(SNF_DIGEST_FILE.read_text(encoding="utf-8"))
+    assert set(pinned) == set(SNF_SOURCES)
+    assert snf_digest(SNF_SOURCES[name]()) == pinned[name]
 
 
 # ---------------------------------------------------------------------------
@@ -743,3 +822,8 @@ def test_hull_is_affine_equivariant():
 def test_rectangular_check():
     with pytest.raises(ValueError):
         smith_normal_form([[1, 2], [3]])
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: snf_digest(build())
+                      for name, build in SNF_SOURCES.items()}, indent=1))

@@ -819,18 +819,37 @@ def test_smith_forms_per_diagram_do_not_grow(monkeypatch):
     monkeypatch.setattr(diagram, "smith_normal_form", snf)
     for name in ("exact_det", "_inverse"):
         monkeypatch.setattr(exactalg, name, counted(name))
+    checked, real_verify = [], exactalg._verify_snf
+    real_init = exactalg.SparseMap.__init__
+
+    def verify(*args):
+        checked.append(real_verify(*args))
+        return checked[-1]
+
+    def init(self, *args):
+        calls.append("SparseMap")
+        real_init(self, *args)
+    monkeypatch.setattr(exactalg, "_verify_snf", verify)
+    monkeypatch.setattr(exactalg.SparseMap, "__init__", init)
     counts = []
     for n in (8, 14):
         d = build_tpqn(1, 0, n)
         calls.clear()
         homology(d)
         counts.append(Counter(calls))
+        # the jump solver products go through the very maps that its
+        # Smith form's certificate built and checked
+        solver = diagram_index(d).jump[1]
+        assert any(a_map is solver.a_map and u is solver._u
+                   and v is solver._v for a_map, u, v in checked)
     # the kernel of the curve-graph boundary, the relation matrix of H1
     # and the jump system; cycle coordinates come from the boundary form's
     # V^-1, and each form certifies U and V by their tracked inverses, so
-    # no determinant and no other inverse is taken
-    assert [(c["smith_normal_form"], c["exact_det"], c["_inverse"])
-            for c in counts] == [(3, 0, 0)] * 2
+    # no determinant and no other inverse is taken.  Each certificate
+    # builds the maps of A, U and V, which the two solvers reuse, and H1
+    # builds four more: 13 in all
+    assert [(c["smith_normal_form"], c["exact_det"], c["_inverse"],
+             c["SparseMap"]) for c in counts] == [(3, 0, 0, 13)] * 2
 
 
 def test_homology_makes_no_solve_per_generator(monkeypatch):
