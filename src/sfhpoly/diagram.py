@@ -694,11 +694,11 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
         bd[point_row[end]][ai] += 1
         bd[point_row[start]][ai] -= 1
     solver = LinearSolver(bd)
-    cycle_basis = solver.kernel_basis()
-    basis = [tuple(vec[i] for vec in cycle_basis) for i in range(n)]
-    cycles = _CycleCoords(arc_pos, circle_pos, SparseMap(basis),
-                          SparseMap(solver.snf.vinv[solver.rank:], n))
-    cycle_rank = len(cycle_basis)
+    cycle_rank = len(solver.kernel_basis())
+    snf, r = solver.snf, solver.rank
+    cycles = _CycleCoords(arc_pos, circle_pos,
+                          SparseMap.by_columns(snf.v_cols[r:], n),
+                          SparseMap(snf.vinv_rows[r:], n))
 
     handles = sum(2 * r.genus for r in d.regions)
     gen_count = cycle_rank + handles
@@ -739,8 +739,8 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
         b1=diag.count(0),
         torsion=tuple(x for x in diag if x > 1),
         _cycles=cycles,
-        _v=SparseMap([[row[i] for row in snf.v] for i in kept], gen_count),
-        _vinv=SparseMap([[snf.vinv[i][j] for i in kept]
-                         for j in range(gen_count)]),
+        _v=SparseMap([snf.v_cols[i] for i in kept], gen_count),
+        _vinv=SparseMap.by_columns([snf.vinv_rows[i] for i in kept],
+                                   gen_count),
         _diag=tuple(diag[i] for i in kept),
     )

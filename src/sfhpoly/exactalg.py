@@ -14,9 +14,11 @@ feeds the calculator is still checked:
   diagonal shape and divisibility chain are checked, and U and V are
   confirmed unimodular by U U^-1 = V V^-1 = I, again column by column,
   with the inverses tracked through the same elementary operations
-  (integer matrices whose product is I have determinant +-1).  V is kept
-  by columns and each pivot's inverse updates are batched, and the form
-  carries the maps of A, U and V its check built, for solvers to reuse;
+  (integer matrices whose product is I have determinant +-1).  Its
+  matrices are dict rows of their nonzeros from elimination to
+  certificate, whose products take the sparse columns as they are, and
+  the maps of A, U and V are built from the rows and columns held, for
+  solvers to reuse;
 * an integer solve is substituted back into A x = b, and every kernel
   vector into A v = 0;
 * a GF(2) rank of bitmask rows is certified both ways: its echelon rows
@@ -29,10 +31,11 @@ A hull, its vertices and its centroid come from one placing
 (beneath-beyond) triangulation on integer coordinates in the affine hull of
 the points: its boundary simplices give the facets and the vertices, its
 full-dimensional simplices the centroid.  Matrices are rectangular lists
-of rows; vectors are tuples.  There is one matrix product: a SparseMap,
-a matrix kept as its nonzero entries by column, applied to a vector, so
-the shape is checked once and a product costs the nonzeros it meets.  A
-product of two matrices is taken a column of the right factor at a time.
+of rows; vectors are tuples, or dicts {index: x} of their nonzeros.
+There is one matrix product: a SparseMap, a matrix kept as its nonzero
+entries by column, applied to a vector, so the shape is checked once and
+a product costs the nonzeros it meets.  A product of two matrices is
+taken a column of the right factor at a time.
 """
 
 from __future__ import annotations
@@ -61,34 +64,58 @@ def _shape(a: list[list[int]]) -> tuple[int, int]:
     return m, n
 
 
-def _identity(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
+def _transpose(rows: list[dict], n: int) -> list[dict]:
+    """The n columns {i: x} of the dict rows {j: x} of a matrix's nonzeros."""
+    cols: list[dict] = [{} for _ in range(n)]
     for i, row in enumerate(rows):
-        row[i] = 1
-    return rows
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
 
 
 class SparseMap:
     """A fixed integer matrix kept as the nonzero entries of its columns.
 
-    `a @ v`, a times the column vector v, is the only matrix product here.
-    The shape is checked once, when the map is built; a product then costs
-    the nonzero entries of a in the columns where v is nonzero.  A row
-    vector times a matrix is its transpose's map applied to the vector,
-    and a times a matrix is a applied to each column of it.
+    `a @ v`, a times the column vector v, is the only matrix product here;
+    v is a sequence, or a dict {j: x} of its nonzeros.  The shape is
+    checked once, when the map is built; a product then costs the nonzero
+    entries of a in the columns where v is nonzero.  A row vector times a
+    matrix is its transpose's map applied to the vector, and a times a
+    matrix is a applied to each column of it.
     """
 
     def __init__(self, a, n: int = 0):
-        """a is a list of rows; n is its column count when it has none."""
+        """a is a list of rows, sequences or dicts {j: x} of their nonzeros;
+        n is its column count, needed for dict rows and when there are none."""
+        if a and isinstance(a[0], dict):
+            self.m, self.n = len(a), n
+            self.cols = [list(col.items()) for col in _transpose(a, n)]
+            return
         self.m, self.n = _shape(a) if a else (0, n)
         self.cols = [[(i, x) for i, x in enumerate(col) if x]
                      for col in zip(*a)] or [[]] * self.n
 
+    @classmethod
+    def by_columns(cls, cols, m: int) -> SparseMap:
+        """The m-row map whose column j has the nonzeros {i: x} cols[j]."""
+        self = cls.__new__(cls)
+        self.m, self.n = m, len(cols)
+        self.cols = [list(col.items()) for col in cols]
+        return self
+
     def __matmul__(self, v) -> tuple[int, ...]:
+        acc = [0] * self.m
+        if isinstance(v, dict):
+            if v and not 0 <= min(v) <= max(v) < self.n:
+                raise ValueError(f"vector index out of range for "
+                                 f"{self.m}x{self.n}")
+            for j, x in v.items():
+                for i, y in self.cols[j]:
+                    acc[i] += x * y
+            return tuple(acc)
         if len(v) != self.n:
             raise ValueError(f"vector length {len(v)} does not match "
                              f"{self.m}x{self.n}")
-        acc = [0] * self.m
         for x, col in zip(v, self.cols):
             if x:
                 for i, y in col:
@@ -209,7 +236,9 @@ class SNFResult:
     """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
     vinv is V^-1, built alongside V.  a_map, u_map and v_map are the maps
-    of A, U and V that the certificate built; comparisons ignore them.
+    of A, U and V that the certificate checked; v_cols and vinv_rows are V
+    by columns and V^-1 by rows, as dicts of their nonzeros.  Comparisons
+    ignore all five.
     """
 
     u: tuple[tuple[int, ...], ...]
@@ -219,6 +248,8 @@ class SNFResult:
     a_map: SparseMap | None = field(default=None, compare=False, repr=False)
     u_map: SparseMap | None = field(default=None, compare=False, repr=False)
     v_map: SparseMap | None = field(default=None, compare=False, repr=False)
+    v_cols: tuple[dict, ...] = field(default=(), compare=False, repr=False)
+    vinv_rows: tuple[dict, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -231,126 +262,146 @@ class SNFResult:
         return sum(1 for x in self.diagonal if x != 0)
 
 
+def _add(row: dict, q: int, other: dict) -> None:
+    """row += q * other, in place, on dict rows {j: x} of nonzeros."""
+    for j, y in other.items():
+        if x := row.get(j, 0) + q * y:
+            row[j] = x
+        else:
+            row.pop(j, None)
+
+
+def _dense(rows: list[dict], n: int) -> tuple[tuple[int, ...], ...]:
+    """Dict rows {j: x} of nonzeros as tuples of length n."""
+    out = [[0] * n for _ in rows]
+    for full, row in zip(out, rows):
+        for j, x in row.items():
+            full[j] = x
+    return tuple(map(tuple, out))
+
+
 def smith_normal_form(a: list[list[int]]) -> SNFResult:
     """Smith normal form with unimodular transforms, verified by multiplication.
 
-    Classic pivoting: repeatedly move a least-magnitude entry to the pivot
-    slot, clear its column and then its row, and fold non-divisible entries
-    back into the pivot row.  Each elementary operation that builds U or V
-    also updates its inverse: a row operation on U is the inverse column
-    operation on U^-1 (kept transposed, so that it is a row operation too),
-    and a column operation on V is the inverse row operation on V^-1.  V is
-    kept by columns, so that is row work too, and a column operation on D
-    touches only the rows nonzero in the pivot column.  The inverse updates
-    of one clearing read rows that nothing else in it writes, so each is
-    one running sum into the pivot row.  Total, including empty matrices;
-    the result carries the maps its certificate built and checked.
+    Classic pivoting: repeatedly move a least-magnitude entry (first row,
+    then least column) to the pivot slot, clear its column and then its
+    row, and fold non-divisible entries back into the pivot row.  Each
+    operation that builds U or V also updates its inverse: a row operation
+    on U is the inverse column operation on U^-1 (kept transposed), and a
+    column operation on V (kept by columns) the inverse row operation on
+    V^-1.  Every matrix is kept as dict rows {j: x} of its nonzeros, so an
+    operation costs the nonzeros it meets; a clearing's column operations
+    are one update of each row nonzero in the pivot column, and its inverse
+    updates one running sum into the pivot row.  Total, including empty
+    matrices; the result carries its maps, built from the rows and columns
+    held and checked by the certificate.
     """
-    d = _int_rows(a)
-    m, n = _shape(d)
-    u, uinv_t = _identity(m), _identity(m)
-    vt, vinv = _identity(n), _identity(n)       # vt[j] is column j of V
+    rows = _int_rows(a)
+    m, n = _shape(rows)
+    d = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    a_map = SparseMap(d, n)
+    u, uinv_t = [{i: 1} for i in range(m)], [{i: 1} for i in range(m)]
+    vt, vinv = [{j: 1} for j in range(n)], [{j: 1} for j in range(n)]
 
     t = 0
     while t < min(m, n):
-        pivot, best = None, 0
+        pi, best = None, 0
         for i in range(t, m):
-            row = list(map(abs, d[i][t:]))
-            x = min(filter(None, row), default=0)
-            if x and (pivot is None or x < best):
-                pivot, best = (i, t + row.index(x)), x
+            x = min(map(abs, d[i].values()), default=0)
+            if x and (pi is None or x < best):
+                pi, best = i, x
             if best == 1:           # no entry is smaller than a unit
                 break
-        if pivot is None:
+        if pi is None:
             break
-        pi, pj = pivot
+        pj = min(j for j, x in d[pi].items() if abs(x) == best)
         if pi != t:
             for w in (d, u, uinv_t):
                 w[t], w[pi] = w[pi], w[t]
         if pj != t:
-            for row in d:
-                row[t], row[pj] = row[pj], row[t]
+            for row in d[t:]:
+                x, y = row.pop(t, 0), row.pop(pj, 0)
+                if x:
+                    row[pj] = x
+                if y:
+                    row[t] = y
             for w in (vt, vinv):
                 w[t], w[pj] = w[pj], w[t]
 
         dt, ut, p = d[t], u[t], d[t][t]
-        dirty, acc = False, uinv_t[t]
-        for i in range(m):
-            if i != t and d[i][t] != 0:
+        dirty = False
+        for i in range(t + 1, m):
+            if t in d[i]:
                 q = d[i][t] // p
-                d[i] = [x - q * y for x, y in zip(d[i], dt)]
-                u[i] = [x - q * y for x, y in zip(u[i], ut)]
-                acc = [x + q * y for x, y in zip(acc, uinv_t[i])]
-                dirty = dirty or d[i][t] != 0
-        uinv_t[t] = acc
-        rows, vtt, acc = [row for row in d if row[t]], vt[t], vinv[t]
-        for j in range(n):
-            if j != t and dt[j] != 0:
-                q = dt[j] // p
-                for row in rows:
-                    row[j] -= q * row[t]
-                vt[j] = [x - q * y for x, y in zip(vt[j], vtt)]
-                acc = [x + q * y for x, y in zip(acc, vinv[j])]
-                dirty = dirty or dt[j] != 0
-        vinv[t] = acc
+                _add(d[i], -q, dt)
+                _add(u[i], -q, ut)
+                _add(uinv_t[t], q, uinv_t[i])
+                dirty = dirty or t in d[i]
+        qs = {j: x // p for j, x in dt.items() if j != t}
+        for row in [row for row in d[t:] if t in row]:
+            _add(row, -row[t], qs)
+        for j, q in qs.items():
+            _add(vt[j], -q, vt[t])
+            _add(vinv[t], q, vinv[j])
+            dirty = dirty or j in dt
         if dirty:
             continue
 
         offender = None
         if abs(p) != 1:             # a unit divides everything
-            for i in range(t + 1, m):
-                if any(x % p for x in d[i][t + 1:]):
-                    offender = i
-                    break
+            offender = next((i for i in range(t + 1, m)
+                             if any(x % p for x in d[i].values())), None)
         if offender is not None:
             for w, i, j, q in ((d, t, offender, 1), (u, t, offender, 1),
                                (uinv_t, offender, t, -1)):
-                w[i] = [x + q * y for x, y in zip(w[i], w[j])]
+                _add(w[i], q, w[j])
             continue
 
         if p < 0:
             for w in (d, u, uinv_t):
-                w[t] = [-x for x in w[t]]
+                w[t] = {j: -x for j, x in w[t].items()}
         t += 1
 
-    result = SNFResult(u=tuple(map(tuple, u)), d=tuple(map(tuple, d)),
-                       v=tuple(zip(*vt)), vinv=tuple(map(tuple, vinv)))
-    return SNFResult(result.u, result.d, result.v, result.vinv,
-                     *_verify_snf(a, result, uinv_t))
+    dd = _dense(d, n)
+    u_map, v_map = _verify_snf(a_map, dd, u, vt, uinv_t, vinv)
+    return SNFResult(_dense(u, m), dd, tuple(zip(*_dense(vt, n))),
+                     _dense(vinv, n), a_map, u_map, v_map, tuple(vt),
+                     tuple(vinv))
 
 
-def _verify_snf(a: list[list[int]], res: SNFResult,
-                uinv_cols: list[list[int]]) -> tuple[SparseMap, ...]:
+def _verify_snf(a: SparseMap, d, u: list[dict], vt: list[dict],
+                uinv_t: list[dict], vinv: list[dict]) -> tuple[SparseMap, ...]:
     """Check U A V = D, D's shape and divisibility chain, and U U^-1 = I
     and V V^-1 = I: integer matrices whose product is I are unimodular.
 
-    uinv_cols are the columns of U^-1.  Every product is a sparse map
-    applied to one column at a time: U (A (column j of V)) must be column
-    j of D, and U times column j of U^-1 and V times column j of V^-1 must
-    be the unit vector e_j.  Returns the maps of A, U and V it checked.
+    a is the map of A and d the rows of D.  U and V^-1 come as dict rows
+    {j: x} of their nonzeros, V and U^-1 as dict columns {i: x}.  Every
+    product is a sparse map applied to one sparse column: U (A (column j of
+    V)) must be column j of D, and U times column j of U^-1 and V times
+    column j of V^-1 must be the unit vector e_j.  The map of U is built
+    from U's rows, that of V from its columns; returns both.
     """
-    m, n = _shape(a)
-    d = res.d
-    u, v, a_map = SparseMap(res.u, m), SparseMap(res.v, n), SparseMap(a, n)
-    if [u @ (a_map @ col) for col in zip(*res.v)] != list(zip(*d)):
+    m, n = a.m, a.n
+    u_map, v_map = SparseMap(u, m), SparseMap.by_columns(vt, n)
+    if [u_map @ (a @ col) for col in vt] != list(zip(*d)):
         raise AssertionError("SNF verification failed: U*A*V != D")
     for i, row in enumerate(d):
         if any(row[:i]) or any(row[i + 1:]):
             raise AssertionError("SNF verification failed: D not diagonal")
-    diag = res.diagonal
+    diag = [row[i] for i, row in enumerate(d[:n])]
     for x, y in zip(diag, diag[1:]):
         if x == 0 and y != 0:
             raise AssertionError("SNF verification failed: zero before nonzero")
         if x != 0 and y % x != 0:
             raise AssertionError("SNF verification failed: divisibility chain")
-    for f, cols, k, name in ((u, uinv_cols, m, "U"),
-                             (v, list(zip(*res.vinv)), n, "V")):
+    for f, cols, k, name in ((u_map, uinv_t, m, "U"),
+                             (v_map, _transpose(vinv, n), n, "V")):
         if f.m != k or len(cols) != k or any(
                 e[j] != 1 or e.count(0) != k - 1
                 for j, e in enumerate(f @ col for col in cols)):
             raise AssertionError(f"SNF verification failed: "
                                  f"{name} not unimodular")
-    return a_map, u, v
+    return u_map, v_map
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +418,14 @@ class LinearSolver:
 
     Callers that solve against one matrix many times (connecting domains)
     keep one of these around.  Products go through the sparse maps of A
-    (`a_map`) and of the Smith form's U and V that its certificate built
-    and checked; L (`lcm`) is the lcm of the nonzero diagonal entries of
-    D = U A V, which are kept once.
+    (`a_map`), U and V that its Smith form built from the rows and columns
+    it held and its certificate checked, and the kernel is checked on V's
+    sparse columns; L (`lcm`) is the lcm of the nonzero diagonal entries
+    of D = U A V, which are kept once.
     """
 
     def __init__(self, a: list[list[int]]):
         self.m, self.n = _shape(a)
-        self.a = [list(row) for row in a]
         self.snf = smith_normal_form(a)
         self.a_map, self._u, self._v = (self.snf.a_map, self.snf.u_map,
                                         self.snf.v_map)
@@ -387,11 +438,10 @@ class LinearSolver:
         The kernel is read off the column transform of the Smith normal
         form: columns of V beyond the rank map to zero columns of D.
         """
-        basis = list(zip(*self.snf.v))[self.rank:]
-        for vec in basis:
-            if any(self.a_map @ vec):
+        for col in self.snf.v_cols[self.rank:]:
+            if any(self.a_map @ col):
                 raise AssertionError("kernel verification failed")
-        return basis
+        return list(zip(*self.snf.v))[self.rank:]
 
     def parts(self, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(X, F) for the right-hand side b, both linear in b.

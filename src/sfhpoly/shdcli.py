@@ -54,6 +54,9 @@ class DuplicateIdentifier(ParseError):
 
 
 _ID = r"[A-Za-z0-9_]+"
+_ID_RE = re.compile(_ID)
+_TOKEN = re.compile(r"\S+")
+_HEAD = re.compile(r"\s*(\S+)")
 _SEGMENT = re.compile(rf"([+-])({_ID})\.(\d+)\Z")
 _CIRCLE_REF = re.compile(rf"[@∂]({_ID})\Z")
 _CURVE_LINE = re.compile(rf"\s*(alpha|beta)\s+({_ID})\s*:\s*")
@@ -62,8 +65,16 @@ _CYCLE_GROUP = re.compile(r"\s*cycle\(([^()]*)\)")
 
 
 def _tokens(line: str, start: int = 0):
-    for m in re.finditer(r"\S+", line[start:]):
-        yield m.group(0), start + m.start() + 1
+    for m in _TOKEN.finditer(line, start):
+        yield m.group(0), m.start() + 1
+
+
+def _number(digits: str, what: str, lineno: int, column: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:      # past the int <-> str conversion limit
+        raise ParseError(f"{what} {digits[:8]}... has {len(digits)} digits",
+                         lineno, column) from None
 
 
 def parse_shd(text: str) -> Diagram:
@@ -80,11 +91,11 @@ def parse_shd(text: str) -> Diagram:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        head = re.match(r"\s*(\S+)", line)
+        head = _HEAD.match(line)
         keyword, col = head.group(1), head.start(1) + 1
         if keyword == "boundary":
             for tok, c in _tokens(line, head.end(1)):
-                if not re.fullmatch(_ID, tok):
+                if not _ID_RE.fullmatch(tok):
                     raise ParseError(f"bad circle id {tok!r}", lineno, c)
                 if tok in circles:
                     raise DuplicateIdentifier(f"circle {tok} declared twice",
@@ -100,7 +111,7 @@ def parse_shd(text: str) -> Diagram:
                                           lineno, m.start(2) + 1)
             pts: list[str] = []
             for tok, c in _tokens(line, m.end()):
-                if not re.fullmatch(_ID, tok):
+                if not _ID_RE.fullmatch(tok):
                     raise ParseError(f"bad point id {tok!r}", lineno, c)
                 if tok in pts:
                     raise DuplicateIdentifier(
@@ -131,17 +142,18 @@ def parse_shd(text: str) -> Diagram:
             while pos < len(line) and line[pos:].strip():
                 g = _CYCLE_GROUP.match(line, pos)
                 if not g:
-                    bad = re.match(r"\s*(\S+)", line[pos:])
+                    bad = _HEAD.match(line, pos)
                     raise ParseError(f"expected cycle(...), got "
                                      f"{bad.group(1)!r}",
-                                     lineno, pos + bad.start(1) + 1)
+                                     lineno, bad.start(1) + 1)
                 cycles.append(_parse_cycle(g.group(1), curve_map, circles,
                                            lineno, g.start(1)))
                 pos = g.end()
             if not cycles:
                 raise ParseError("region needs at least one boundary cycle",
                                  lineno, col)
-            regions.append(Region(name, int(m.group(2)), tuple(cycles)))
+            genus = _number(m.group(2), "genus", lineno, m.start(2) + 1)
+            regions.append(Region(name, genus, tuple(cycles)))
         else:
             raise ParseError(f"unknown declaration {keyword!r}", lineno, col)
 
@@ -172,7 +184,8 @@ def _parse_cycle(body: str, curve_map: dict[str, Curve],
         if not m:
             raise ParseError(f"bad cycle element {tok!r}",
                              lineno, offset + c)
-        sign, cname, arc = m.group(1), m.group(2), int(m.group(3))
+        sign, cname = m.group(1), m.group(2)
+        arc = _number(m.group(3), "arc", lineno, offset + c)
         curve = curve_map.get(cname)
         if curve is None:
             raise UndeclaredIdentifier(f"unknown curve id {cname!r}",
@@ -248,12 +261,24 @@ def _text_lines(data: dict, prefix: str = "") -> list[str]:
     return out
 
 
+def _fraction_text(value) -> str:
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not in a report")
+
+
 def _report(data: dict, ns, out) -> None:
-    data = _plain(data)
-    if ns.json:
-        out.write(json.dumps(data, indent=2) + "\n")
-    else:
-        out.write("\n".join(_text_lines(data)) + "\n")
+    try:
+        text = json.dumps(data, indent=2, default=_fraction_text) if ns.json \
+            else "\n".join(_text_lines(_plain(data)))
+    except ValueError:      # a number past the int <-> str conversion limit
+        for key, value in data.items():
+            try:
+                json.dumps(value, default=_fraction_text)
+            except ValueError:
+                raise BadParams(f"{key} has too many digits") from None
+        raise
+    out.write(text + "\n")
 
 
 def _load(path: str) -> Diagram:
@@ -362,6 +387,7 @@ def _cmd_polytope(ns, out) -> int:
 def _parse_class(arg: str, ambient: int) -> tuple[Fraction, ...]:
     try:
         alpha = tuple(Fraction(tok) for tok in arg.split(","))
+        list(map(str, alpha))           # each coordinate prints back
     except (ValueError, ZeroDivisionError) as ex:
         raise ParseError(f"bad --class value {arg!r}: {ex}", 0, 0)
     if len(alpha) != ambient:

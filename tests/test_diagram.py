@@ -161,20 +161,42 @@ def test_lattice_vanishes_on_boundary_regions(annulus_isotopic, annulus_slack,
                 assert x == 0 or not r.touches_boundary
 
 
+def jump_rows(d: Diagram, interior) -> list[list[int]]:
+    """The arc-jump system over the interior regions, read off the region
+    boundaries: the row of (curve, point k) is the jump across the arc
+    before k minus the jump across arc k."""
+    col = {ri: j for j, ri in enumerate(interior)}
+    rows = []
+    for c in d.curves:
+        for k in range(len(c.points)):
+            row = [0] * len(col)
+            for arc, sign in (((k - 1) % len(c.points), 1), (k, -1)):
+                for ri in col:
+                    for cyc in d.regions[ri].arc_cycles:
+                        for sg in cyc:
+                            if (sg.curve, sg.arc) == (c.name, arc):
+                                row[col[ri]] += sign if sg.forward else -sign
+            rows.append(row)
+    return rows
+
+
 def test_lattice_from_jump_solver(annulus_isotopic, annulus_slack, grid_diag,
                                   grid_adjacent, grid_rect):
     for d in (annulus_isotopic, annulus_slack, grid_diag, grid_adjacent,
               grid_rect):
         s = diagram_index(d)
         _, solver = s.jump
+        rows = jump_rows(d, s.interior)
+        assert [solver.a_map @ {j: 1} for j in range(solver.n)] \
+            == list(zip(*rows))
         lat = s.lattice
         assert lat is periodic_lattice(d)
-        assert lat.rank == len(s.interior) - smith_normal_form(solver.a).rank
+        assert lat.rank == len(s.interior) - smith_normal_form(rows).rank
         for vec in lat.basis:
             assert all(vec[ri] == 0 for ri, r in enumerate(d.regions)
                        if r.touches_boundary)
             assert all(sum(c * vec[ri] for c, ri in zip(row, s.interior))
-                       == 0 for row in solver.a)
+                       == 0 for row in rows)
             # the boundary of a periodic domain jumps by the same amount
             # across every arc of a curve: it is a sum of whole curves
             jump = {}

@@ -34,7 +34,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.matrices import DomainMatrix
 
 from sfhpoly import diagram, exactalg
-from sfhpoly.builders import build_tpqn, glue
+from sfhpoly.builders import build_tpqn, glue, stabilize
 from sfhpoly.exactalg import (
     EmptyInput,
     LinearSolver,
@@ -51,6 +51,8 @@ from sfhpoly.exactalg import (
     smith_normal_form,
 )
 from sfhpoly.floer import homology
+
+from conftest import grid_knot
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +209,20 @@ def test_snf_verified_against_minor_oracle(a):
             assert abs(prod) == minor_gcd(a, k)
 
 
+def nonzeros(rows) -> list[dict]:
+    """Dense rows as dicts {j: x} of their nonzeros."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def certify(a, res, uinv):
+    """_verify_snf on the dense A, the U, D, V and V^-1 of res and the
+    columns uinv of U^-1, handed over as the elimination keeps them: U and
+    V^-1 by sparse rows, V and U^-1 by sparse columns."""
+    a_map = SparseMap(nonzeros(a), len(a[0]) if a else 0)
+    return _verify_snf(a_map, res.d, nonzeros(res.u), nonzeros(zip(*res.v)),
+                       nonzeros(uinv), nonzeros(res.vinv))
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices, st.data())
 def test_verify_snf_refuses_a_bumped_inverse(a, data):
@@ -214,18 +230,18 @@ def test_verify_snf_refuses_a_bumped_inverse(a, data):
     either inverse off by one is refused.  U^-1 is passed by columns."""
     res = smith_normal_form(a)
     uinv = [[int(x) for x in row] for row in to_sympy(res.u).inv().T.tolist()]
-    _verify_snf(a, res, uinv)
+    certify(a, res, uinv)
     i, j = (data.draw(st.integers(0, len(uinv) - 1)) for _ in range(2))
     uinv[i][j] += 1
     with pytest.raises(AssertionError, match="U not unimodular"):
-        _verify_snf(a, res, uinv)
+        certify(a, res, uinv)
     uinv[i][j] -= 1
     vinv = [list(row) for row in res.vinv]
     i, j = (data.draw(st.integers(0, len(vinv) - 1)) for _ in range(2))
     vinv[i][j] += 1
     bumped = dataclasses.replace(res, vinv=tuple(map(tuple, vinv)))
     with pytest.raises(AssertionError, match="V not unimodular"):
-        _verify_snf(a, bumped, uinv)
+        certify(a, bumped, uinv)
 
 
 def bump(rows, i, j):
@@ -250,17 +266,17 @@ def test_verify_snf_refuses_a_bumped_transform_or_form(a, data):
                                                           i, j)})
         with pytest.raises(AssertionError, match=r"U\*A\*V != D|"
                            f"{unimodular} not unimodular"):
-            _verify_snf(a, bumped, uinv)
+            certify(a, bumped, uinv)
     off = [(i, j) for i in range(m) for j in range(n) if i != j]
     if off:
         bumped = dataclasses.replace(res, d=bump(res.d, *data.draw(
             st.sampled_from(off))))
         with pytest.raises(AssertionError, match=r"U\*A\*V != D"):
-            _verify_snf(a, bumped, uinv)
+            certify(a, bumped, uinv)
         a2 = to_sympy(res.u).inv() * to_sympy(bumped.d) * to_sympy(res.vinv)
         with pytest.raises(AssertionError, match="D not diagonal"):
-            _verify_snf([[int(x) for x in row] for row in a2.tolist()],
-                        bumped, uinv)
+            certify([[int(x) for x in row] for row in a2.tolist()],
+                    bumped, uinv)
 
 
 def test_verify_snf_refuses_a_transform_of_the_wrong_shape():
@@ -270,10 +286,10 @@ def test_verify_snf_refuses_a_transform_of_the_wrong_shape():
     res = smith_normal_form(a)
     uinv = [[int(x) for x in row] for row in to_sympy(res.u).inv().T.tolist()]
     with pytest.raises(AssertionError, match="U not unimodular"):
-        _verify_snf(a, res, uinv[:-1])
+        certify(a, res, uinv[:-1])
     tall = SNFResult(u=((1,), (1,)), d=((0,), (0,)), v=((1,),), vinv=((1,),))
     with pytest.raises(AssertionError, match="U not unimodular"):
-        _verify_snf([[0]], tall, [[1]])
+        certify([[0]], tall, [[1]])
 
 
 @pytest.mark.parametrize("diag, message", [
@@ -284,7 +300,7 @@ def test_verify_snf_refuses_a_broken_diagonal(diag, message):
     eye = ((1, 0), (0, 1))
     res = SNFResult(u=eye, d=d, v=eye, vinv=eye)
     with pytest.raises(AssertionError, match=message):
-        _verify_snf([list(row) for row in d], res, [list(r) for r in eye])
+        certify([list(row) for row in d], res, [list(r) for r in eye])
 
 
 @pytest.mark.parametrize("a, d, u, v", [
@@ -323,8 +339,15 @@ def snf_corpus() -> list[list[list[int]]]:
     return out
 
 
-def diagram_forms(build) -> list[SNFResult]:
-    """The Smith forms that homology makes on one diagram, in order."""
+def structured(d) -> None:
+    """Make a diagram's curve-graph boundary, relation and jump forms."""
+    s = diagram.diagram_index(d)
+    s.h1, s.jump
+
+
+def diagram_forms(build, run=homology) -> list[SNFResult]:
+    """The Smith forms that run (homology by default) makes on one
+    diagram, in order."""
     forms, real = [], exactalg.smith_normal_form
 
     def recorded(a):
@@ -332,10 +355,32 @@ def diagram_forms(build) -> list[SNFResult]:
         return forms[-1]
     exactalg.smith_normal_form = diagram.smith_normal_form = recorded
     try:
-        homology(build())
+        run(build())
     finally:
         exactalg.smith_normal_form = diagram.smith_normal_form = real
     return forms
+
+
+def many_small() -> dict:
+    """The 66 diagrams of the many_small benchmark workload, by label:
+    T(p,q;n) for p <= 7, glued chains and stabilized diagrams."""
+    def end(n):
+        return f"e{(n - 2) // 2 - 1}_s2" if n > 2 else "s1"
+    out = {f"T({p},{q};{n})": (lambda p=p, q=q, n=n: build_tpqn(p, q, n))
+           for p in range(1, 8) for q in range(p) if gcd(p, q) == 1
+           for n in (2, 4, 6)}
+    for n1, p, q, m2 in ((2, 2, 1, 2), (4, 2, 1, 2), (4, 1, 0, 4),
+                         (6, 2, 1, 2), (4, 3, 1, 2), (4, 2, 1, 4),
+                         (2, 3, 2, 4), (4, 5, 2, 2)):
+        out[f"T(1,0;{n1})+T({p},{q};{m2})"] = (
+            lambda n1=n1, p=p, q=q, m2=m2: glue(
+                build_tpqn(1, 0, n1), end(n1), build_tpqn(p, q, m2), end(m2)))
+    for p, q, n, region in ((2, 1, 2, "r0"), (1, 0, 6, "e1_r3"),
+                            (2, 1, 4, "e0_r1"), (3, 2, 4, "e0_r1")):
+        out[f"T({p},{q};{n})@{region}"] = (
+            lambda p=p, q=q, n=n, region=region: stabilize(
+                build_tpqn(p, q, n), region))
+    return out
 
 
 SNF_SOURCES = {
@@ -348,6 +393,15 @@ SNF_SOURCES.update({
     'glue(T(2,1;2),"s0",T(2,1;2),"s0")': lambda: diagram_forms(
         lambda: glue(build_tpqn(2, 1, 2), "s0", build_tpqn(2, 1, 2), "s0")),
 })
+# incidence-shaped matrices, sparse as the diagrams make them
+SNF_SOURCES.update({
+    f"structured {name}": lambda build=build: diagram_forms(build, structured)
+    for name, build in {
+        **many_small(),
+        **{f"T(1,0;{n})": lambda n=n: build_tpqn(1, 0, n)
+           for n in range(8, 15, 2)},
+        "G(5,2)": lambda: grid_knot(5, 2),
+        "G(7,2)": lambda: grid_knot(7, 2)}.items()})
 
 
 def snf_digest(forms: list[SNFResult]) -> str:
@@ -502,6 +556,25 @@ def test_sparse_map_products_match_dense(a, data):
         sparse @ (v + [0])
     with pytest.raises(ValueError, match="not rectangular"):
         SparseMap([[1, 2], [3]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices, st.data())
+def test_sparse_map_products_on_dicts_match_dense(a, data):
+    """A vector given as a dict of its nonzeros, and a map built from dict
+    rows or columns, give the dense product; an index outside range(n),
+    negative ones included, is refused rather than wrapped."""
+    m, n = len(a), len(a[0])
+    v = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    want = mat_vec(a, v)
+    sparse = SparseMap(a)
+    assert sparse @ dict(enumerate(v)) == sparse @ nonzeros([v])[0] == want
+    assert SparseMap(nonzeros(a), n) @ v == want
+    assert SparseMap.by_columns(nonzeros(zip(*a)), m) @ v == want
+    for bad in (n, -1, -n):
+        with pytest.raises(ValueError, match="out of range"):
+            sparse @ {0: 1, bad: 1}
+    assert sparse @ {} == (0,) * m
 
 
 @settings(max_examples=60, deadline=None)

@@ -820,17 +820,19 @@ def test_smith_forms_per_diagram_do_not_grow(monkeypatch):
     for name in ("exact_det", "_inverse"):
         monkeypatch.setattr(exactalg, name, counted(name))
     checked, real_verify = [], exactalg._verify_snf
-    real_init = exactalg.SparseMap.__init__
 
-    def verify(*args):
-        checked.append(real_verify(*args))
-        return checked[-1]
+    def verify(a, *args):
+        checked.append((a, *real_verify(a, *args)))
+        return checked[-1][1:]
 
-    def init(self, *args):
-        calls.append("SparseMap")
-        real_init(self, *args)
+    class Counted(exactalg.SparseMap):
+        def __new__(cls, *args):
+            # every map is allocated here, whichever constructor builds it
+            calls.append("SparseMap")
+            return super().__new__(cls)
     monkeypatch.setattr(exactalg, "_verify_snf", verify)
-    monkeypatch.setattr(exactalg.SparseMap, "__init__", init)
+    for module in (exactalg, diagram):
+        monkeypatch.setattr(module, "SparseMap", Counted)
     counts = []
     for n in (8, 14):
         d = build_tpqn(1, 0, n)
@@ -845,9 +847,9 @@ def test_smith_forms_per_diagram_do_not_grow(monkeypatch):
     # the kernel of the curve-graph boundary, the relation matrix of H1
     # and the jump system; cycle coordinates come from the boundary form's
     # V^-1, and each form certifies U and V by their tracked inverses, so
-    # no determinant and no other inverse is taken.  Each certificate
-    # builds the maps of A, U and V, which the two solvers reuse, and H1
-    # builds four more: 13 in all
+    # no determinant and no other inverse is taken.  Each form builds the
+    # maps of A, U and V, which its certificate checks and the two solvers
+    # reuse, and H1 builds four more: 13 in all
     assert [(c["smith_normal_form"], c["exact_det"], c["_inverse"],
              c["SparseMap"]) for c in counts] == [(3, 0, 0, 13)] * 2
 

@@ -361,3 +361,39 @@ def test_byte_determinism(tmp_path):
                  ["polytope", str(f)],
                  ["build", "tpqn", "--p", "3", "--q", "2", "--n", "4"]):
         assert run(argv) == run(argv)
+
+
+LONG = "7" * 5000       # past CPython's 4300-digit int <-> str limit
+
+
+@pytest.mark.parametrize("old, new, needle", [
+    ("genus 0", f"genus {LONG}", "genus 77777777... has 5000 digits"),
+    ("+a.0", f"+a.{LONG}", "arc 77777777... has 5000 digits")])
+def test_numbers_past_the_digit_limit_are_parse_errors(tmp_path, old, new,
+                                                       needle):
+    text = emit_shd(build_tpqn(1, 0, 4)).replace(old, new, 1)
+    with pytest.raises(ParseError, match=needle):
+        parse_shd(text)
+    f = tmp_path / "long.shd"
+    f.write_text(text)
+    for cmd in ("validate", "compute"):
+        rc, out = run(["--json", cmd, str(f)])
+        assert rc == 2 and out.startswith("parse error: line 6, column ")
+        assert out.endswith(f"{needle}\n") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("cmd", ["face", "norm"])
+def test_classes_past_the_digit_limit_end_in_exit_2(tmp_path, json_flag, cmd):
+    f = tmp_path / "t4.shd"
+    f.write_text(emit_shd(build_tpqn(1, 0, 4)))
+    # parse side: the class itself does not print back
+    rc, out = run(json_flag + [cmd, str(f), "--class", "1e5000"])
+    assert rc == 2 and out.startswith("parse error: bad --class value "
+                                      "'1e5000': ") and out.count("\n") == 1
+    # report side: the class prints, but the face's c_min does not
+    rc, out = run(json_flag + [cmd, str(f), "--class", "9e4299"])
+    if cmd == "face":
+        assert (rc, out) == (2, "bad parameters: c_min has too many digits\n")
+    else:
+        assert rc == 0 and len(out) > 4300
