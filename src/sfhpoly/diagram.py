@@ -697,7 +697,8 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
     cycle_rank = len(solver.kernel_basis())
     snf, r = solver.snf, solver.rank
     cycles = _CycleCoords(arc_pos, circle_pos,
-                          SparseMap.by_columns(snf.v_cols[r:], n),
+                          SparseMap.by_columns(
+                              [dict(col) for col in snf.v_map.cols[r:]], n),
                           SparseMap(snf.vinv_rows[r:], n))
 
     handles = sum(2 * r.genus for r in d.regions)
@@ -739,7 +740,7 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
         b1=diag.count(0),
         torsion=tuple(x for x in diag if x > 1),
         _cycles=cycles,
-        _v=SparseMap([snf.v_cols[i] for i in kept], gen_count),
+        _v=SparseMap([dict(snf.v_map.cols[i]) for i in kept], gen_count),
         _vinv=SparseMap.by_columns([snf.vinv_rows[i] for i in kept],
                                    gen_count),
         _diag=tuple(diag[i] for i in kept),

@@ -16,9 +16,9 @@ feeds the calculator is still checked:
   with the inverses tracked through the same elementary operations
   (integer matrices whose product is I have determinant +-1).  Its
   matrices are dict rows of their nonzeros from elimination to
-  certificate, whose products take the sparse columns as they are, and
-  the maps of A, U and V are built from the rows and columns held, for
-  solvers to reuse;
+  certificate, whose products take the sparse columns as they are.  The
+  result is held once, sparse: D's diagonal, the maps of A, U and V that
+  the certificate built, and V^-1 by rows;
 * an integer solve is substituted back into A x = b, and every kernel
   vector into A v = 0;
 * a GF(2) rank of bitmask rows is certified both ways: its echelon rows
@@ -231,31 +231,21 @@ def _inverse(a) -> tuple[list[list[int]], int]:
 # Smith normal form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SNFResult:
     """U * A * V = D with U, V unimodular and D diagonal, d1 | d2 | ...
 
-    vinv is V^-1, built alongside V.  a_map, u_map and v_map are the maps
-    of A, U and V that the certificate checked; v_cols and vinv_rows are V
-    by columns and V^-1 by rows, as dicts of their nonzeros.  Comparisons
-    ignore all five.
+    Each matrix is held once, by its nonzeros: D as its diagonal, the
+    min(m, n) entries D[i][i]; A, U and V as the maps that the
+    certificate built and checked; and V^-1, built alongside V, as dict
+    rows {j: x}.
     """
 
-    u: tuple[tuple[int, ...], ...]
-    d: tuple[tuple[int, ...], ...]
-    v: tuple[tuple[int, ...], ...]
-    vinv: tuple[tuple[int, ...], ...]
-    a_map: SparseMap | None = field(default=None, compare=False, repr=False)
-    u_map: SparseMap | None = field(default=None, compare=False, repr=False)
-    v_map: SparseMap | None = field(default=None, compare=False, repr=False)
-    v_cols: tuple[dict, ...] = field(default=(), compare=False, repr=False)
-    vinv_rows: tuple[dict, ...] = field(default=(), compare=False, repr=False)
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        m = len(self.d)
-        n = len(self.d[0]) if m else 0
-        return tuple(self.d[i][i] for i in range(min(m, n)))
+    diagonal: tuple[int, ...]
+    a_map: SparseMap = field(repr=False)
+    u_map: SparseMap = field(repr=False)
+    v_map: SparseMap = field(repr=False)
+    vinv_rows: tuple[dict, ...] = field(repr=False)
 
     @property
     def rank(self) -> int:
@@ -271,15 +261,6 @@ def _add(row: dict, q: int, other: dict) -> None:
             row.pop(j, None)
 
 
-def _dense(rows: list[dict], n: int) -> tuple[tuple[int, ...], ...]:
-    """Dict rows {j: x} of nonzeros as tuples of length n."""
-    out = [[0] * n for _ in rows]
-    for full, row in zip(out, rows):
-        for j, x in row.items():
-            full[j] = x
-    return tuple(map(tuple, out))
-
-
 def smith_normal_form(a: list[list[int]]) -> SNFResult:
     """Smith normal form with unimodular transforms, verified by multiplication.
 
@@ -293,8 +274,8 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
     operation costs the nonzeros it meets; a clearing's column operations
     are one update of each row nonzero in the pivot column, and its inverse
     updates one running sum into the pivot row.  Total, including empty
-    matrices; the result carries its maps, built from the rows and columns
-    held and checked by the certificate.
+    matrices.  The result keeps what the certificate checked, as it was
+    held: D's diagonal, the maps of A, U and V, and the rows of V^-1.
     """
     rows = _int_rows(a)
     m, n = _shape(rows)
@@ -362,33 +343,32 @@ def smith_normal_form(a: list[list[int]]) -> SNFResult:
                 w[t] = {j: -x for j, x in w[t].items()}
         t += 1
 
-    dd = _dense(d, n)
-    u_map, v_map = _verify_snf(a_map, dd, u, vt, uinv_t, vinv)
-    return SNFResult(_dense(u, m), dd, tuple(zip(*_dense(vt, n))),
-                     _dense(vinv, n), a_map, u_map, v_map, tuple(vt),
-                     tuple(vinv))
+    u_map, v_map = _verify_snf(a_map, d, u, vt, uinv_t, vinv)
+    return SNFResult(tuple(d[i].get(i, 0) for i in range(min(m, n))),
+                     a_map, u_map, v_map, tuple(vinv))
 
 
-def _verify_snf(a: SparseMap, d, u: list[dict], vt: list[dict],
+def _verify_snf(a: SparseMap, d: list[dict], u: list[dict], vt: list[dict],
                 uinv_t: list[dict], vinv: list[dict]) -> tuple[SparseMap, ...]:
     """Check U A V = D, D's shape and divisibility chain, and U U^-1 = I
     and V V^-1 = I: integer matrices whose product is I are unimodular.
 
-    a is the map of A and d the rows of D.  U and V^-1 come as dict rows
-    {j: x} of their nonzeros, V and U^-1 as dict columns {i: x}.  Every
-    product is a sparse map applied to one sparse column: U (A (column j of
-    V)) must be column j of D, and U times column j of U^-1 and V times
-    column j of V^-1 must be the unit vector e_j.  The map of U is built
-    from U's rows, that of V from its columns; returns both.
+    a is the map of A.  D, U and V^-1 come as dict rows {j: x} of their
+    nonzeros, V and U^-1 as dict columns {i: x}.  Every product is a sparse
+    map applied to one sparse column: U (A (column j of V)) must be column
+    j of D, and U times column j of U^-1 and V times column j of V^-1 must
+    be the unit vector e_j.  The map of U is built from U's rows, that of V
+    from its columns; returns both.
     """
     m, n = a.m, a.n
     u_map, v_map = SparseMap(u, m), SparseMap.by_columns(vt, n)
-    if [u_map @ (a @ col) for col in vt] != list(zip(*d)):
+    if [{i: x for i, x in enumerate(u_map @ (a @ col)) if x}
+            for col in vt] != _transpose(d, n):
         raise AssertionError("SNF verification failed: U*A*V != D")
     for i, row in enumerate(d):
-        if any(row[:i]) or any(row[i + 1:]):
+        if row.keys() - {i}:
             raise AssertionError("SNF verification failed: D not diagonal")
-    diag = [row[i] for i, row in enumerate(d[:n])]
+    diag = [row.get(i, 0) for i, row in enumerate(d[:n])]
     for x, y in zip(diag, diag[1:]):
         if x == 0 and y != 0:
             raise AssertionError("SNF verification failed: zero before nonzero")
@@ -418,10 +398,9 @@ class LinearSolver:
 
     Callers that solve against one matrix many times (connecting domains)
     keep one of these around.  Products go through the sparse maps of A
-    (`a_map`), U and V that its Smith form built from the rows and columns
-    it held and its certificate checked, and the kernel is checked on V's
-    sparse columns; L (`lcm`) is the lcm of the nonzero diagonal entries
-    of D = U A V, which are kept once.
+    (`a_map`), U and V that its Smith form's certificate built and checked,
+    and the kernel is read off and checked on V's sparse columns; L
+    (`lcm`) is the lcm of the nonzero diagonal entries of D = U A V.
     """
 
     def __init__(self, a: list[list[int]]):
@@ -438,10 +417,13 @@ class LinearSolver:
         The kernel is read off the column transform of the Smith normal
         form: columns of V beyond the rank map to zero columns of D.
         """
-        for col in self.snf.v_cols[self.rank:]:
+        basis = []
+        for col in self._v.cols[self.rank:]:
+            col = dict(col)
             if any(self.a_map @ col):
                 raise AssertionError("kernel verification failed")
-        return list(zip(*self.snf.v))[self.rank:]
+            basis.append(tuple(col.get(i, 0) for i in range(self.n)))
+        return basis
 
     def parts(self, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(X, F) for the right-hand side b, both linear in b.

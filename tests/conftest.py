@@ -7,6 +7,8 @@ sense.  Region naming convention: interior regions first where convenient.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from sfhpoly.diagram import Curve, Diagram, Region, Segment
@@ -14,6 +16,12 @@ from sfhpoly.diagram import Curve, Diagram, Region, Segment
 
 def seg(curve: str, arc: int, sign: int) -> Segment:
     return Segment(curve, arc, sign > 0)
+
+
+def with_genus(d: Diagram, genus: int) -> Diagram:
+    """d with the genus of its first region set to genus."""
+    first = dataclasses.replace(d.regions[0], genus=genus)
+    return dataclasses.replace(d, regions=(first,) + d.regions[1:])
 
 
 def two_core_curves() -> tuple[Curve, Curve]:

@@ -10,6 +10,7 @@ so each fixture's b1/torsion below was derived independently of the code.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from sfhpoly.builders import (build_base, build_elementary_piece, build_tpqn,
                               glue)
 from sfhpoly.exactalg import LinearSolver, integer_kernel_basis, \
     smith_normal_form
-from conftest import seg, torus_grid
+from conftest import seg, torus_grid, with_genus
 
 
 def region_by_name(d: Diagram, name: str) -> Region:
@@ -301,6 +302,24 @@ def test_h1_normalizer_properties(grid_diag, annulus_isotopic):
             shifted = tuple(x + y for x, y in zip(v, row))
             assert h1.normalize(shifted) == nv
             assert h1.free_part(shifted) == h1.free_part(v)
+
+
+def test_h1_of_a_high_genus_region_stays_small():
+    """Each unit of region genus adds two free generators that no relation
+    meets.  The relation form holds its transforms by their nonzeros, so
+    H1 of a genus-1000 region costs a few MB; dense (2g)^2 copies of V and
+    V^-1 would take about 95 MB."""
+    h1 = h1_presentation(build_tpqn(1, 0, 4))
+    assert (h1.b1, h1.torsion) == (1, ())
+    d = with_genus(build_tpqn(1, 0, 4), 1000)
+    tracemalloc.start()
+    try:
+        h1 = h1_presentation(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (h1.b1, h1.torsion) == (1 + 2 * 1000, ())
+    assert peak < 16 * 2**20
 
 
 def test_h1_disconnected():

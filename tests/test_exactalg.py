@@ -15,7 +15,6 @@ Expected values below were computed from those oracles and frozen.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -166,15 +165,33 @@ def unimodular(draw):
 # Smith normal form
 
 
+def dense(res: SNFResult) -> tuple:
+    """(u, d, v, vinv): U, D, V and V^-1 of res as tuples of rows, read off
+    its maps, its diagonal and the rows of V^-1."""
+    m, n = res.a_map.m, res.a_map.n
+
+    def rows(f: SparseMap) -> tuple[tuple[int, ...], ...]:
+        out = [[0] * f.n for _ in range(f.m)]
+        for j, col in enumerate(f.cols):
+            for i, x in col:
+                out[i][j] = x
+        return tuple(map(tuple, out))
+    d = tuple(tuple(res.diagonal[i] if i == j else 0 for j in range(n))
+              for i in range(m))
+    vinv = tuple(tuple(row.get(j, 0) for j in range(n))
+                 for row in res.vinv_rows)
+    return rows(res.u_map), d, rows(res.v_map), vinv
+
+
 def test_snf_identity():
     res = smith_normal_form([[1, 0], [0, 1]])
-    assert res.d == ((1, 0), (0, 1))
+    assert dense(res)[1] == ((1, 0), (0, 1))
     assert res.rank == 2
 
 
 def test_snf_zero():
     res = smith_normal_form([[0]])
-    assert res.d == ((0,),)
+    assert dense(res)[1] == ((0,),)
     assert res.rank == 0
 
 
@@ -185,7 +202,7 @@ def test_snf_frozen_example():
 
 def test_snf_empty_matrix():
     res = smith_normal_form([])
-    assert res.d == ()
+    assert dense(res)[1] == ()
     assert res.rank == 0
 
 
@@ -193,12 +210,12 @@ def test_snf_empty_matrix():
 @given(matrices)
 def test_snf_verified_against_minor_oracle(a):
     res = smith_normal_form(a)
-    u = [list(r) for r in res.u]
-    v = [list(r) for r in res.v]
-    assert to_sympy(u) * to_sympy(a) * to_sympy(v) == to_sympy(res.d)
+    u, d, v, vinv = dense(res)
+    u, v = [list(r) for r in u], [list(r) for r in v]
+    assert to_sympy(u) * to_sympy(a) * to_sympy(v) == to_sympy(d)
     assert abs(exact_det(u)) == 1
     assert abs(exact_det(v)) == 1
-    assert to_sympy(v) * to_sympy(res.vinv) == sympy.eye(len(v))
+    assert to_sympy(v) * to_sympy(vinv) == sympy.eye(len(v))
     diag = res.diagonal
     for x, y in zip(diag, diag[1:]):
         assert (x == 0 and y == 0) or (x != 0 and y % x == 0)
@@ -214,13 +231,19 @@ def nonzeros(rows) -> list[dict]:
     return [{j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-def certify(a, res, uinv):
-    """_verify_snf on the dense A, the U, D, V and V^-1 of res and the
-    columns uinv of U^-1, handed over as the elimination keeps them: U and
-    V^-1 by sparse rows, V and U^-1 by sparse columns."""
+def certify(a, forms, uinv):
+    """_verify_snf on the dense A, the dense (u, d, v, vinv) forms and the
+    columns uinv of U^-1, handed over as the elimination keeps them: D, U
+    and V^-1 by sparse rows, V and U^-1 by sparse columns."""
+    u, d, v, vinv = forms
     a_map = SparseMap(nonzeros(a), len(a[0]) if a else 0)
-    return _verify_snf(a_map, res.d, nonzeros(res.u), nonzeros(zip(*res.v)),
-                       nonzeros(uinv), nonzeros(res.vinv))
+    return _verify_snf(a_map, nonzeros(d), nonzeros(u), nonzeros(zip(*v)),
+                       nonzeros(uinv), nonzeros(vinv))
+
+
+def inverse_columns(u) -> list[list[int]]:
+    """The columns of U^-1, U a dense unimodular matrix."""
+    return [[int(x) for x in row] for row in to_sympy(u).inv().T.tolist()]
 
 
 @settings(max_examples=40, deadline=None)
@@ -228,20 +251,18 @@ def certify(a, res, uinv):
 def test_verify_snf_refuses_a_bumped_inverse(a, data):
     """U U^-1 = I and V V^-1 = I certify unimodularity: one entry of
     either inverse off by one is refused.  U^-1 is passed by columns."""
-    res = smith_normal_form(a)
-    uinv = [[int(x) for x in row] for row in to_sympy(res.u).inv().T.tolist()]
-    certify(a, res, uinv)
+    forms = dense(smith_normal_form(a))
+    uinv = inverse_columns(forms[0])
+    certify(a, forms, uinv)
     i, j = (data.draw(st.integers(0, len(uinv) - 1)) for _ in range(2))
     uinv[i][j] += 1
     with pytest.raises(AssertionError, match="U not unimodular"):
-        certify(a, res, uinv)
+        certify(a, forms, uinv)
     uinv[i][j] -= 1
-    vinv = [list(row) for row in res.vinv]
+    vinv = forms[3]
     i, j = (data.draw(st.integers(0, len(vinv) - 1)) for _ in range(2))
-    vinv[i][j] += 1
-    bumped = dataclasses.replace(res, vinv=tuple(map(tuple, vinv)))
     with pytest.raises(AssertionError, match="V not unimodular"):
-        certify(a, bumped, uinv)
+        certify(a, forms[:3] + (bump(vinv, i, j),), uinv)
 
 
 def bump(rows, i, j):
@@ -257,37 +278,37 @@ def test_verify_snf_refuses_a_bumped_transform_or_form(a, data):
     """One entry of U, of V, or of D off its diagonal, off by one, is
     refused; D's bump is refused as a wrong product, and again as not
     diagonal when A is changed to match it."""
-    res = smith_normal_form(a)
+    forms = dense(smith_normal_form(a))
+    u, d, v, vinv = forms
     m, n = len(a), len(a[0])
-    uinv = [[int(x) for x in row] for row in to_sympy(res.u).inv().T.tolist()]
-    for field, size, unimodular in (("u", m, "U"), ("v", n, "V")):
+    uinv = inverse_columns(u)
+    for k, size, unimodular in ((0, m, "U"), (2, n, "V")):
         i, j = (data.draw(st.integers(0, size - 1)) for _ in range(2))
-        bumped = dataclasses.replace(res, **{field: bump(getattr(res, field),
-                                                          i, j)})
+        bumped = list(forms)
+        bumped[k] = bump(forms[k], i, j)
         with pytest.raises(AssertionError, match=r"U\*A\*V != D|"
                            f"{unimodular} not unimodular"):
             certify(a, bumped, uinv)
     off = [(i, j) for i in range(m) for j in range(n) if i != j]
     if off:
-        bumped = dataclasses.replace(res, d=bump(res.d, *data.draw(
-            st.sampled_from(off))))
+        bumped_d = bump(d, *data.draw(st.sampled_from(off)))
         with pytest.raises(AssertionError, match=r"U\*A\*V != D"):
-            certify(a, bumped, uinv)
-        a2 = to_sympy(res.u).inv() * to_sympy(bumped.d) * to_sympy(res.vinv)
+            certify(a, (u, bumped_d, v, vinv), uinv)
+        a2 = to_sympy(u).inv() * to_sympy(bumped_d) * to_sympy(vinv)
         with pytest.raises(AssertionError, match="D not diagonal"):
             certify([[int(x) for x in row] for row in a2.tolist()],
-                    bumped, uinv)
+                    (u, bumped_d, v, vinv), uinv)
 
 
 def test_verify_snf_refuses_a_transform_of_the_wrong_shape():
     """U U^-1 = I is checked in Z^m: a U^-1 short of a column, or a U with
     a row too many, is refused though each product has e_j's one."""
     a = [[2, 4], [6, 8]]
-    res = smith_normal_form(a)
-    uinv = [[int(x) for x in row] for row in to_sympy(res.u).inv().T.tolist()]
+    forms = dense(smith_normal_form(a))
+    uinv = inverse_columns(forms[0])
     with pytest.raises(AssertionError, match="U not unimodular"):
-        certify(a, res, uinv[:-1])
-    tall = SNFResult(u=((1,), (1,)), d=((0,), (0,)), v=((1,),), vinv=((1,),))
+        certify(a, forms, uinv[:-1])
+    tall = (((1,), (1,)), ((0,), (0,)), ((1,),), ((1,),))
     with pytest.raises(AssertionError, match="U not unimodular"):
         certify([[0]], tall, [[1]])
 
@@ -298,9 +319,9 @@ def test_verify_snf_refuses_a_transform_of_the_wrong_shape():
 def test_verify_snf_refuses_a_broken_diagonal(diag, message):
     d = ((diag[0], 0), (0, diag[1]))
     eye = ((1, 0), (0, 1))
-    res = SNFResult(u=eye, d=d, v=eye, vinv=eye)
     with pytest.raises(AssertionError, match=message):
-        certify([list(row) for row in d], res, [list(r) for r in eye])
+        certify([list(row) for row in d], (eye, d, eye, eye),
+                [list(r) for r in eye])
 
 
 @pytest.mark.parametrize("a, d, u, v", [
@@ -310,7 +331,7 @@ def test_verify_snf_refuses_a_broken_diagonal(diag, message):
     ([[0], [0]], ((0,), (0,)), ((1, 0), (0, 1)), ((1,),))])
 def test_snf_edge_shapes(a, d, u, v):
     res = smith_normal_form(a)
-    assert (res.d, res.u, res.v, res.vinv) == (d, u, v, v)
+    assert dense(res) == (u, d, v, v)
     assert res.rank == 0
 
 
@@ -406,7 +427,7 @@ SNF_SOURCES.update({
 
 def snf_digest(forms: list[SNFResult]) -> str:
     """SHA-256 of the transforms and forms, (u, d, v, vinv) each."""
-    return hashlib.sha256(repr([(r.u, r.d, r.v, r.vinv) for r in forms])
+    return hashlib.sha256(repr([dense(r) for r in forms])
                           .encode()).hexdigest()
 
 
@@ -469,11 +490,10 @@ def test_unimodular_inverse_of_elementary_products(m, data):
     the elimination is V's inverse; doubling a row or repeating one
     leaves a form that is not I."""
     n = len(m)
-    res = smith_normal_form(m)
-    assert res.d == tuple(tuple(int(i == j) for j in range(n))
-                          for i in range(n))
-    assert all(type(x) is int for row in res.vinv for x in row)
-    assert to_sympy(res.vinv) == to_sympy(res.v).inv()
+    _, d, v, vinv = dense(smith_normal_form(m))
+    assert d == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert all(type(x) is int for row in vinv for x in row)
+    assert to_sympy(vinv) == to_sympy(v).inv()
     i = data.draw(st.integers(0, n - 1))
     doubled = [row if k != i else [2 * x for x in row]
                for k, row in enumerate(m)]

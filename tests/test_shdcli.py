@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import torus_grid
+from conftest import torus_grid, with_genus
 from sfhpoly.builders import (InvalidGlue, build_base, build_elementary_piece,
                               build_tpqn, glue, relabel, stabilize)
 from sfhpoly.diagram import Diagram
@@ -111,6 +111,18 @@ def test_parse_errors(text, exc, line, needle):
     assert info.value.line == line
     assert needle in info.value.message
     assert info.value.column >= 1
+
+
+def test_validate_a_high_genus_region(tmp_path):
+    """A genus of 1000 in a .shd file is validated, H1 included, without
+    the quadratic memory of dense Smith-form transforms."""
+    path = tmp_path / "genus.shd"
+    path.write_text(emit_shd(with_genus(build_tpqn(1, 0, 4), 1000)),
+                    encoding="utf-8")
+    rc, text = run(["--json", "validate", str(path)])
+    assert rc == 0
+    report = json.loads(text)
+    assert (report["ok"], report["b1"], report["torsion"]) == (True, 2001, [])
 
 
 def test_parse_error_column():
