@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import sub
+from operator import mul, sub
 
-from .exactalg import LinearSolver, SparseMap, smith_normal_form
+from .exactalg import (LinearSolver, SparseMap, convex_hull,
+                       smith_normal_form)
 
 
 class Disconnected(ValueError):
@@ -39,7 +39,9 @@ class UndecidedBeyondBound(RuntimeError):
     """Admissibility search refused: periodic lattice rank above the bound."""
 
 
-# is_admissible refuses a periodic lattice of higher rank
+# is_admissible refuses a periodic lattice of higher rank: its hull of the
+# region columns can have very many facets in high rank, and the lattice of
+# a diagram read from a file is not bounded otherwise
 MAX_LATTICE_RANK = 6
 
 
@@ -473,54 +475,22 @@ def periodic_lattice(d: Diagram) -> PeriodicLattice:
 @dataclass(frozen=True)
 class AdmissibilityResult:
     admissible: bool
-    witness: tuple[int, ...] | None    # a nonzero nonnegative periodic domain
-
-
-def _fm_witness(ineqs: list[tuple[list[Fraction], Fraction]],
-                nvars: int) -> list[Fraction] | None:
-    """A point satisfying coeffs . c >= rhs for every row, or None.
-
-    Fourier-Motzkin elimination with back-substitution; exact rationals.
-    """
-    stages = [ineqs]
-    for k in range(nvars - 1, 0, -1):
-        cur = stages[0]
-        pos = [q for q in cur if q[0][k] > 0]
-        neg = [q for q in cur if q[0][k] < 0]
-        zero = [q for q in cur if q[0][k] == 0]
-        new = list(zero)
-        for a, r in pos:
-            for b, t in neg:
-                coeffs = [a[k] * b[j] - b[k] * a[j] for j in range(k)]
-                new.append((coeffs + [Fraction(0)] * (nvars - k),
-                            a[k] * t - b[k] * r))
-        stages.insert(0, new)
-
-    sol = [Fraction(0)] * nvars
-    for k in range(nvars):
-        lo, hi = None, None
-        for coeffs, rhs in stages[k]:
-            rest = rhs - sum(coeffs[j] * sol[j] for j in range(k))
-            ck = coeffs[k]
-            if ck == 0:
-                if rest > 0:
-                    return None
-            elif ck > 0:
-                bound = rest / ck
-                lo = bound if lo is None or bound > lo else lo
-            else:
-                bound = rest / ck
-                hi = bound if hi is None or bound < hi else hi
-        if lo is not None and hi is not None and lo > hi:
-            return None
-        sol[k] = lo if lo is not None else (hi if hi is not None else Fraction(0))
-    return sol
+    # a nonzero nonnegative periodic domain, primitive in the lattice
+    witness: tuple[int, ...] | None
 
 
 def is_admissible(d: Diagram) -> AdmissibilityResult:
     """True iff every nonzero periodic domain has mixed signs.
 
-    The search is refused above a periodic lattice rank of MAX_LATTICE_RANK.
+    With the lattice basis B (r independent rows, one column b_j per
+    region), the domain c . B is >= 0 exactly when c . b_j >= 0 for every
+    j.  The origin and the columns affinely span R^r, so such a c != 0
+    exists exactly when the origin lies on a facet of hull({0} u {b_j}),
+    the alternative of Stiemke's lemma.  The first such facet in the
+    hull's order has a primitive normal n, and the witness n . B is then
+    primitive in the lattice; at rank 1 it is the basis vector or its
+    negative.  The search is refused above a periodic lattice rank of
+    MAX_LATTICE_RANK.
     """
     lattice = periodic_lattice(d)
     r = lattice.rank
@@ -529,32 +499,18 @@ def is_admissible(d: Diagram) -> AdmissibilityResult:
     if r > MAX_LATTICE_RANK:
         raise UndecidedBeyondBound(
             f"periodic lattice rank {r} > {MAX_LATTICE_RANK}")
-    if r == 1:
-        vec = lattice.basis[0]
-        if all(x >= 0 for x in vec):
-            return AdmissibilityResult(False, vec)
-        if all(x <= 0 for x in vec):
-            return AdmissibilityResult(False, tuple(-x for x in vec))
+    cols = list(zip(*lattice.basis))
+    hull = convex_hull([(0,) * r, *cols])
+    if hull.dim != r:
+        raise AssertionError("periodic lattice basis is not independent")
+    normal = next((n for n, offset in hull.facets if offset == 0), None)
+    if normal is None:
         return AdmissibilityResult(True, None)
-
-    nreg = len(d.regions)
-    cols = [[Fraction(lattice.basis[i][j]) for i in range(r)]
-            for j in range(nreg)]
-    base = [(col[:], Fraction(0)) for col in cols if any(col)]
-    for j in range(nreg):
-        if not any(cols[j]):
-            continue
-        sol = _fm_witness(base + [(cols[j][:], Fraction(1))], r)
-        if sol is not None:
-            witness = [sum(sol[i] * lattice.basis[i][k] for i in range(r))
-                       for k in range(nreg)]
-            denom = lcm(*(x.denominator for x in witness))
-            out = tuple(int(x * denom) for x in witness)
-            if not (all(x >= 0 for x in out) and any(out)):
-                raise AssertionError("admissibility witness is not a "
-                                     "non-zero non-negative domain")
-            return AdmissibilityResult(False, out)
-    return AdmissibilityResult(True, None)
+    witness = tuple(sum(map(mul, normal, col)) for col in cols)
+    if not (all(x >= 0 for x in witness) and any(witness)):
+        raise AssertionError("admissibility witness is not a "
+                             "non-zero non-negative domain")
+    return AdmissibilityResult(False, witness)
 
 
 @dataclass(frozen=True)

@@ -220,16 +220,6 @@ def emit_shd(d: Diagram) -> str:
 # reports
 
 
-def _plain(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
-
-
 def _scalar_text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -270,7 +260,7 @@ def _fraction_text(value) -> str:
 def _report(data: dict, ns, out) -> None:
     try:
         text = json.dumps(data, indent=2, default=_fraction_text) if ns.json \
-            else "\n".join(_text_lines(_plain(data)))
+            else "\n".join(_text_lines(data))
     except ValueError:      # a number past the int <-> str conversion limit
         for key, value in data.items():
             try:

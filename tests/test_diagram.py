@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -232,12 +234,63 @@ def test_not_admissible_positive_generator(annulus_slack, grid_adjacent):
         support = {names[i] for i, x in enumerate(res.witness) if x}
         assert support == bad
         assert all(x >= 0 for x in res.witness)
+        # at rank 1 the witness is the basis vector or its negative
+        (vec,) = periodic_lattice(d).basis
+        assert res.witness in (vec, tuple(-x for x in vec))
 
 
 def test_admissible_beyond_bound(annulus_isotopic, monkeypatch):
     monkeypatch.setattr(diagram, "MAX_LATTICE_RANK", 0)
     with pytest.raises(UndecidedBeyondBound):
         is_admissible(annulus_isotopic)
+
+
+def random_grids(seed: int, trials: int):
+    """Seeded torus grids with n <= 5 and periodic lattice rank 2..6.
+
+    Odd trials puncture one or two squares per row, which often leaves
+    every periodic domain with mixed signs; even trials puncture up to 2n
+    squares anywhere, which reaches the higher ranks.
+    """
+    rng = random.Random(seed)
+    for trial in range(trials):
+        n = rng.randint(2, 5)
+        if trial % 2:
+            squares = {f"S{i}{rng.randrange(n)}" for i in range(n)
+                       for _ in range(rng.randint(1, 2))}
+        else:
+            squares = rng.sample([f"S{i}{j}" for i in range(n)
+                                  for j in range(n)], rng.randint(1, 2 * n))
+        d = torus_grid(tuple(sorted(squares)), n)
+        if 2 <= periodic_lattice(d).rank <= 6:
+            yield d
+
+
+def test_admissible_matches_stiemke_on_random_grids():
+    """Stiemke's lemma is an independent oracle: the lattice basis B has no
+    c with c . B >= 0 and c . B != 0 iff B y = 0 for some y >= 1, a linear
+    feasibility problem for scipy's LP solver."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    seen = Counter()
+    for d in random_grids(2006, 600):
+        basis = periodic_lattice(d).basis
+        res = is_admissible(d)
+        lp = linprog([0] * len(d.regions), A_eq=basis,
+                     b_eq=[0] * len(basis), bounds=(1, None))
+        assert lp.status in (0, 2)          # feasible or infeasible
+        assert res.admissible == (lp.status == 0)
+        seen[len(basis), res.admissible] += 1
+        if res.admissible:
+            assert res.witness is None
+            continue
+        w, s = res.witness, diagram_index(d)
+        assert min(w) >= 0 and any(w) and gcd(*w) == 1
+        assert all(x == 0 for x, r in zip(w, d.regions)
+                   if r.touches_boundary)
+        assert all(sum(c * w[ri] for c, ri in zip(row, s.interior)) == 0
+                   for row in jump_rows(d, s.interior))
+    assert {rank for rank, _ in seen} == {2, 3, 4, 5, 6}
+    assert {verdict for _, verdict in seen} == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ code fails here.  The digests were written by running this file as a
 script (`PYTHONPATH=src python3 tests/test_golden_outputs.py`) at a commit
 whose outputs the acceptance and oracle tests had checked; they are not
 regenerated to make a change pass.
+
+`text_digests.json` pins the plain-text reports the same way on a subset
+(rationals in `norm`, torsion, and the exit-3 diagram G(4,2)); it was
+written by `PYTHONPATH=src python3 tests/test_golden_outputs.py --text`.
 """
 
 from __future__ import annotations
@@ -63,20 +67,25 @@ COMMANDS = {
 
 GOLDEN_FILE = HERE / "golden_outputs.json"
 
+TEXT_DIAGRAMS = ("T(1,0;4)", "T(2,1;4)", "T(1,0;8)", "G(3,1)", "G(4,2)",
+                 "glue(T(2,1;2),s0,T(2,1;2),s0)")
+TEXT_FILE = HERE / "text_digests.json"
+
 
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
 
 
-def digests(name: str, workdir: Path) -> dict[str, list]:
+def digests(name: str, workdir: Path,
+            flags: tuple[str, ...] = ("--json",)) -> dict[str, list]:
     """[sha256 of stdout, exit code] per command on one emitted diagram."""
     path = workdir / "diagram.shd"
     path.write_text(emit_shd(DIAGRAMS[name]()), encoding="utf-8")
     out = {}
     for label, argv in COMMANDS.items():
         buf = io.StringIO()
-        rc = run_command(["--json", argv[0], str(path), *argv[1:]], buf)
+        rc = run_command([*flags, argv[0], str(path), *argv[1:]], buf)
         out[label] = [hashlib.sha256(buf.getvalue().encode()).hexdigest(), rc]
     return out
 
@@ -91,7 +100,16 @@ def test_json_output_is_byte_identical(name, tmp_path, golden):
     assert digests(name, tmp_path) == golden[name]
 
 
+@pytest.mark.parametrize("name", TEXT_DIAGRAMS)
+def test_text_output_is_byte_identical(name, tmp_path):
+    pinned = json.loads(TEXT_FILE.read_text(encoding="utf-8"))
+    assert set(pinned) == set(TEXT_DIAGRAMS)
+    assert digests(name, tmp_path, ()) == pinned[name]
+
+
 if __name__ == "__main__":
+    text = sys.argv[1:] == ["--text"]
     with tempfile.TemporaryDirectory() as tmp:
-        table = {name: digests(name, Path(tmp)) for name in DIAGRAMS}
+        table = {name: digests(name, Path(tmp), () if text else ("--json",))
+                 for name in (TEXT_DIAGRAMS if text else DIAGRAMS)}
     print(json.dumps(table, indent=1, sort_keys=True))

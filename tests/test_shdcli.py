@@ -5,14 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import torus_grid, with_genus
+from conftest import grid_knot, torus_grid, with_genus
 from sfhpoly.builders import (InvalidGlue, build_base, build_elementary_piece,
                               build_tpqn, glue, relabel, stabilize)
-from sfhpoly.diagram import Diagram
+from sfhpoly.diagram import Diagram, is_admissible
 from sfhpoly.shdcli import (DuplicateIdentifier, ParseError,
                             UndeclaredIdentifier, emit_shd, parse_shd,
                             run_command)
@@ -123,6 +124,23 @@ def test_validate_a_high_genus_region(tmp_path):
     assert rc == 0
     report = json.loads(text)
     assert (report["ok"], report["b1"], report["torsion"]) == (True, 2001, [])
+
+
+def test_validate_grid_links(tmp_path):
+    """Grid links with periodic lattices of rank 2 to 4 are admissible, and
+    all four are decided in under 2 s together."""
+    start = time.perf_counter()
+    for (n, k), rank in (((6, 3), 2), ((9, 3), 2), ((8, 4), 3),
+                         ((10, 5), 4)):
+        d = grid_knot(n, k)
+        assert is_admissible(d).admissible
+        path = tmp_path / f"G{n}_{k}.shd"
+        path.write_text(emit_shd(d), encoding="utf-8")
+        rc, text = run(["--json", "validate", str(path)])
+        assert rc == 0
+        report = json.loads(text)
+        assert (report["lattice_rank"], report["admissible"]) == (rank, True)
+    assert time.perf_counter() - start < 2
 
 
 def test_parse_error_column():
