@@ -5,14 +5,18 @@ in Z^b1: twice the free part of its coset, relative to the first
 surviving class.  The polytope is the exact convex hull of these points;
 a centered copy (centroid at the origin) is the translation-invariant
 normal form.  The semi-norm y maximizes <-c, alpha> over the centered
-vertices, and z symmetrizes it.  Depth bounds are functions of the total
-rank alone.
+vertices, and z symmetrizes it.  The centered vertices are kept once per
+polytope as integer rows over one denominator q, and a query class is
+scaled to integers over the lcm e of its denominators, so y, z and faces
+pair integers and build one Fraction over q e.  Depth bounds are
+functions of the total rank alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .exactalg import RatPolytope, body_centroid, convex_hull
@@ -66,12 +70,16 @@ def support_points(table) -> Support:
 
 @dataclass(frozen=True)
 class SfhPolytope:
-    """Raw and centered hulls of a support."""
+    """Raw and centered hulls of a support.
+
+    scaled is (q, rows): q times each centered vertex is the int row.
+    """
 
     raw: RatPolytope
     centered: RatPolytope
     b1: int
     total_rank: int
+    scaled: tuple[int, tuple[tuple[int, ...], ...]] = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -82,14 +90,19 @@ class SfhPolytope:
         return self.raw.dim == self.b1
 
 
-def _translate(p: RatPolytope, shift: tuple[Fraction, ...]) -> RatPolytope:
-    vertices = tuple(tuple(x + s for x, s in zip(v, shift))
-                     for v in p.vertices)
-    facets = tuple(
-        (normal, offset + sum(n * s for n, s in zip(normal, shift)))
-        for normal, offset in p.facets)
-    centroid = tuple(x + s for x, s in zip(p.centroid, shift))
-    return RatPolytope(p.ambient_dim, vertices, facets, p.dim, centroid)
+def _centre(raw: RatPolytope):
+    """(centered, q, rows): raw moved to centroid 0, rows = q v - q g."""
+    g = body_centroid(raw)
+    q = lcm(*[x.denominator for v in raw.vertices + (g,) for x in v])
+    qg = [x.numerator * (q // x.denominator) for x in g]
+    rows = tuple(tuple(x.numerator * (q // x.denominator) - s
+                       for x, s in zip(v, qg)) for v in raw.vertices)
+    centered = RatPolytope(
+        raw.ambient_dim, tuple(tuple(Fraction(x, q) for x in r) for r in rows),
+        tuple((n, off - Fraction(sum(map(mul, n, qg)), q))
+              for n, off in raw.facets),
+        raw.dim, tuple(Fraction(0) for _ in g))
+    return centered, q, rows
 
 
 def build_polytope(s: Support) -> SfhPolytope:
@@ -101,8 +114,18 @@ def build_polytope(s: Support) -> SfhPolytope:
     raw = convex_hull([pt for pt, _ in s.points])
     if len(raw.vertices) > s.total_rank:
         raise AssertionError("more hull vertices than supported generators")
-    centered = _translate(raw, tuple(-c for c in body_centroid(raw)))
-    return SfhPolytope(raw, centered, s.ambient_dim, s.total_rank)
+    centered, q, rows = _centre(raw)
+    return SfhPolytope(raw, centered, s.ambient_dim, s.total_rank, (q, rows))
+
+
+def _scaled(alpha, ambient: int) -> tuple[int, list[int]]:
+    """(e, e alpha): a rational class as ints over the lcm e of its
+    denominators."""
+    if len(alpha) != ambient:
+        raise ValueError(f"class has {len(alpha)} coordinates, "
+                         f"the polytope lives in dimension {ambient}")
+    e = lcm(*[x.denominator for x in alpha])
+    return e, [x.numerator * (e // x.denominator) for x in alpha]
 
 
 # ---------------------------------------------------------------------------
@@ -113,26 +136,19 @@ def build_polytope(s: Support) -> SfhPolytope:
 class FaceResult:
     """Support points minimizing the pairing with a query class."""
 
-    alpha: tuple[int, ...]
+    alpha: tuple[Fraction | int, ...]
     c_min: Fraction
     face_points: tuple[tuple[int, ...], ...]
     face_dimension: int
 
 
-def _check_length(alpha, ambient: int) -> None:
-    if len(alpha) != ambient:
-        raise ValueError(f"class has {len(alpha)} coordinates, "
-                         f"the polytope lives in dimension {ambient}")
-
-
 def face_query(p: SfhPolytope, s: Support,
-               alpha: tuple[int, ...]) -> FaceResult:
-    _check_length(alpha, s.ambient_dim)
-    pairings = [(sum(c * a for c, a in zip(pt, alpha)), pt, dim)
-                for pt, dim in s.points]
-    c_min = min(v for v, _, _ in pairings)
-    face = [(pt, dim) for v, pt, dim in pairings if v == c_min]
-    return FaceResult(tuple(alpha), Fraction(c_min),
+               alpha: tuple[Fraction | int, ...]) -> FaceResult:
+    e, a = _scaled(alpha, s.ambient_dim)
+    pairings = [sum(map(mul, a, pt)) for pt, _ in s.points]
+    c_min = min(pairings)
+    face = [point for v, point in zip(pairings, s.points) if v == c_min]
+    return FaceResult(tuple(alpha), Fraction(c_min, e),
                       tuple(pt for pt, _ in face),
                       sum(dim for _, dim in face))
 
@@ -141,23 +157,23 @@ def face_query(p: SfhPolytope, s: Support,
 # semi-norms
 
 
-def _pairings(p: SfhPolytope, alpha) -> list[Fraction]:
-    """<c, alpha> for each centered vertex c."""
-    _check_length(alpha, p.b1)
-    a = [Fraction(x) for x in alpha]
-    return [sum(map(mul, a, v)) for v in p.centered.vertices]
+def _pairings(p: SfhPolytope, alpha) -> tuple[int, list[int]]:
+    """(q e, [q e <c, alpha> for each centered vertex c])."""
+    e, a = _scaled(alpha, p.b1)
+    q, rows = p.scaled
+    return q * e, [sum(map(mul, a, r)) for r in rows]
 
 
 def seminorm_y(p: SfhPolytope, alpha) -> Fraction:
     """max of <-c, alpha> over the centered vertices."""
-    return max(Fraction(0), -min(_pairings(p, alpha)))
+    den, pairings = _pairings(p, alpha)
+    return Fraction(max(0, -min(pairings)), den)
 
 
 def symmetrized_z(p: SfhPolytope, alpha) -> Fraction:
     """(y(alpha) + y(-alpha)) / 2, from one pairing per vertex."""
-    pairings = _pairings(p, alpha)
-    return (max(Fraction(0), -min(pairings))
-            + max(Fraction(0), max(pairings))) / 2
+    den, pairings = _pairings(p, alpha)
+    return Fraction(max(0, -min(pairings)) + max(0, max(pairings)), 2 * den)
 
 
 # ---------------------------------------------------------------------------

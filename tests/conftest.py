@@ -92,23 +92,33 @@ def pants_bigon() -> Diagram:
     )
 
 
+def _pair(n: int):
+    """Formats an index pair (i, j) of an n x n grid as ij, or as i_j from
+    n = 12 on, where ij collides: p110 would be both (1, 10) and (11, 0)."""
+    return "{}_{}".format if n >= 12 else "{}{}".format
+
+
 def torus_grid(punctured: tuple[str, ...], n: int = 2) -> Diagram:
     """n x n grid on the torus; the named squares get one puncture each.
 
     Square Sij runs +a_i.j, +b_{j+1}.i, -a_{i+1}.j, -b_j.i (indices mod n).
     Puncturing Sii and S_i,i+k for every i gives the grid diagram G(n, k)
-    of a knot with 2n meridional sutures.
+    of a knot with 2n meridional sutures.  Square and point ids join the
+    indices as _pair(n) does.
     """
-    alphas = tuple(Curve("alpha", f"a{i}", tuple(f"p{i}{j}" for j in range(n)))
+    ij = _pair(n)
+    alphas = tuple(Curve("alpha", f"a{i}",
+                         tuple(f"p{ij(i, j)}" for j in range(n)))
                    for i in range(n))
-    betas = tuple(Curve("beta", f"b{j}", tuple(f"p{i}{j}" for i in range(n)))
+    betas = tuple(Curve("beta", f"b{j}",
+                        tuple(f"p{ij(i, j)}" for i in range(n)))
                   for j in range(n))
     circles = tuple(f"s{k}" for k in range(len(punctured)))
     by_square = {name: f"s{k}" for k, name in enumerate(punctured)}
     regions = []
     for i in range(n):
         for j in range(n):
-            name = f"S{i}{j}"
+            name = f"S{ij(i, j)}"
             walk = (seg(f"a{i}", j, +1), seg(f"b{(j + 1) % n}", i, +1),
                     seg(f"a{(i + 1) % n}", j, -1), seg(f"b{j}", i, -1))
             cycles: tuple = (walk,)
@@ -120,7 +130,8 @@ def torus_grid(punctured: tuple[str, ...], n: int = 2) -> Diagram:
 
 def grid_knot(n: int, k: int) -> Diagram:
     """G(n, k): the n x n torus grid punctured at Sii and S_i,i+k."""
-    return torus_grid(tuple(f"S{i}{j}" for i in range(n)
+    ij = _pair(n)
+    return torus_grid(tuple(f"S{ij(i, j)}" for i in range(n)
                             for j in sorted({i, (i + k) % n})), n)
 
 

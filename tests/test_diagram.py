@@ -37,7 +37,7 @@ from sfhpoly.builders import (build_base, build_elementary_piece, build_tpqn,
                               glue)
 from sfhpoly.exactalg import LinearSolver, integer_kernel_basis, \
     smith_normal_form
-from conftest import seg, torus_grid, with_genus
+from conftest import grid_knot, seg, torus_grid, with_genus
 
 
 def region_by_name(d: Diagram, name: str) -> Region:
@@ -55,6 +55,23 @@ def test_validate_fixtures_clean(annulus_isotopic, annulus_slack, pants_bigon,
               grid_rect, disk_product, annulus_product):
         report = validate(d)
         assert report.ok, report.violations
+
+
+@pytest.mark.parametrize("n, k", [(12, 5), (14, 3)])
+def test_grid_ids_stay_distinct_from_n_12(n, k):
+    # joined indices would collide: p110 is both (1, 10) and (11, 0)
+    d = grid_knot(n, k)
+    report = validate(d)
+    assert report.ok, report.violations
+    assert len({r.name for r in d.regions}) == n * n
+    assert d.regions[-1].name == f"S{n - 1}_{n - 1}"
+
+
+def test_grid_ids_below_12_are_joined():
+    d = grid_knot(11, 3)
+    assert validate(d).ok
+    assert d.regions[-1].name == "S1010"
+    assert d.alpha_curves[1].points[10] == "p110"
 
 
 def test_validate_euler_summaries(grid_diag, grid_rect, pants_bigon,

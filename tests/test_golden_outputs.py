@@ -6,7 +6,9 @@ output byte, to the order of classes, generators or gradings, or to an exit
 code fails here.  The digests were written by running this file as a
 script (`PYTHONPATH=src python3 tests/test_golden_outputs.py`) at a commit
 whose outputs the acceptance and oracle tests had checked; they are not
-regenerated to make a change pass.
+regenerated to make a change pass.  A command added to the table later
+has its digests written at the commit before the change it guards, with
+the earlier entries left as they are.
 
 `text_digests.json` pins the plain-text reports the same way on a subset
 (rationals in `norm`, torsion, and the exit-3 diagram G(4,2)); it was
@@ -63,6 +65,9 @@ COMMANDS = {
     "depth": ["depth"],
     "norm --class 3/2": ["norm", "--class", "3/2"],
     "face --class 1": ["face", "--class", "1"],
+    # with "=": argparse reads a bare -7/3 as an option
+    "norm --class=-7/3": ["norm", "--class=-7/3"],
+    "face --class 5/2": ["face", "--class", "5/2"],
 }
 
 GOLDEN_FILE = HERE / "golden_outputs.json"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -205,6 +206,85 @@ def test_norms_match_their_definitions():
             assert symmetrized_z(p, a) == (y(a) + y(neg)) / 2
             assert type(seminorm_y(p, a)) is Fraction
             assert type(symmetrized_z(p, a)) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# the integer queries against their Fraction definitions
+
+
+def _translate(p: exactalg.RatPolytope, shift) -> exactalg.RatPolytope:
+    """p moved by shift in Fraction arithmetic, vertex by vertex."""
+    vertices = tuple(tuple(x + s for x, s in zip(v, shift))
+                     for v in p.vertices)
+    facets = tuple(
+        (normal, offset + sum(n * s for n, s in zip(normal, shift)))
+        for normal, offset in p.facets)
+    centroid = tuple(x + s for x, s in zip(p.centroid, shift))
+    return exactalg.RatPolytope(p.ambient_dim, vertices, facets, p.dim,
+                                centroid)
+
+
+def oracle_support(rng: random.Random, ambient: int) -> Support:
+    """1 to 18 points in an affine subspace of dimension at most ambient,
+    drawn towards the higher dimensions."""
+    k = ambient - min(rng.randint(0, ambient), rng.randint(0, ambient))
+    basis = [[rng.randint(-2, 2) for _ in range(ambient)] for _ in range(k)]
+    origin = [rng.randint(-6, 6) for _ in range(ambient)]
+    pts = []
+    for _ in range(rng.randint(1, 18)):
+        c = [rng.randint(-3, 3) for _ in range(k)]
+        pts.append((tuple(o + sum(x * row[j] for x, row in zip(c, basis))
+                          for j, o in enumerate(origin)),
+                    rng.randint(1, 3)))
+    return Support(tuple(pts), 0)
+
+
+def oracle_classes(rng: random.Random, ambient: int):
+    """The zero class, int classes and Fraction classes with denominators
+    up to 10^6."""
+    big = 10 ** 6
+    return [(0,) * ambient, (Fraction(0),) * ambient,
+            tuple(rng.randint(-9, 9) for _ in range(ambient)),
+            tuple(Fraction(rng.randint(-big, big), rng.randint(1, big))
+                  for _ in range(ambient)),
+            tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                  for _ in range(ambient))]
+
+
+def test_integer_queries_match_fraction_definitions():
+    rng = random.Random(2608)
+    for ambient in range(5):
+        for _ in range(16):
+            s = oracle_support(rng, ambient)
+            p = build_polytope(s)
+            assert p.centered == _translate(
+                p.raw, tuple(-c for c in p.raw.centroid))
+            assert all(type(x) is Fraction
+                       for x in (*(x for v in p.centered.vertices for x in v),
+                                 *(off for _, off in p.centered.facets),
+                                 *p.centered.centroid))
+            verts = p.centered.vertices
+            for a in oracle_classes(rng, ambient):
+                fa = [Fraction(x) for x in a]
+
+                def y(alpha):
+                    return max([Fraction(0)]
+                               + [-sum(map(mul, alpha, v)) for v in verts])
+                want_y = y(fa)
+                want_z = (want_y + y([-x for x in fa])) / 2
+                got_y, got_z = seminorm_y(p, a), symmetrized_z(p, a)
+                assert (got_y, got_z) == (want_y, want_z)
+                assert type(got_y) is Fraction and type(got_z) is Fraction
+
+                pairings = [sum(map(mul, fa, pt)) for pt, _ in s.points]
+                c_min = min(pairings)
+                face = [pd for v, pd in zip(pairings, s.points)
+                        if v == c_min]
+                res = face_query(p, s, a)
+                assert type(res.c_min) is Fraction and res.c_min == c_min
+                assert res.face_points == tuple(pt for pt, _ in face)
+                assert res.face_dimension == sum(d for _, d in face)
+                assert res.alpha == tuple(a)
 
 
 @pytest.mark.parametrize("query", ["face", "y", "z"])
