@@ -2,9 +2,11 @@
 
 Everything runs over Python ints and fractions.Fraction; no floats.  One
 fraction-free elimination routine, `_bareiss`, is the core under every
-determinant, rank and rational inverse: Bareiss's integer-preserving
-Gaussian elimination (Bareiss 1968), optionally clearing above the pivot
-too (Gauss-Jordan).  The core and the Smith normal form take integer
+determinant and rank and under the hull's affine frame, facet normals and
+facet pull-back: Bareiss's integer-preserving Gaussian elimination
+(Bareiss 1968), optionally clearing above the pivot too (Gauss-Jordan),
+which leaves the last pivot times the reduced row echelon form, so no
+inverse is taken.  The core and the Smith normal form take integer
 matrices only: they work on a copy and raise TypeError on any other
 entry.  Rational points reach it only through convex_hull, which scales
 them to integers first.  That keeps checking cheap, so every result that
@@ -135,11 +137,14 @@ def _bareiss(w: list[list[int]], ncols: int,
     after the pivot prev of the step before, replaces a row by
     (p * row - row[c] * pivot row) / prev.  After k steps every entry is a
     (k+1)-minor of the input (Sylvester's identity), so the division is
-    exact and no entry grows beyond a minor.  With jordan the rows above
-    the pivot are cleared too: [A | I] then ends as [p I | p A^-1], p the
-    last pivot.  Entries left of the pivot column are not rewritten once
-    they are no longer read.  Returns (pivot columns, last pivot, sign of
-    the row permutation); for square A of full rank det A = sign * last.
+    exact and no entry grows beyond a minor.  Without jordan, entries left
+    of the pivot column are not rewritten, as they are no longer read.
+    With jordan the rows above the pivot are cleared too and whole rows
+    are rewritten, so every row ends at the scale of the last pivot p: the
+    first rank rows are p times the rows of the reduced row echelon form,
+    and [A | B] with A square and invertible ends as [p I | p A^-1 B].
+    Returns (pivot columns, last pivot, sign of the row permutation); for
+    square A of full rank det A = sign * last.
     """
     m = len(w)
     pivots: list[int] = []
@@ -153,18 +158,18 @@ def _bareiss(w: list[list[int]], ncols: int,
         if piv != r:
             w[r], w[piv] = w[piv], w[r]
             sign = -sign
-        top = w[r][c:]
-        p = top[0]
+        lo = 0 if jordan else c
+        top, p = w[r][lo:], w[r][c]
         for i in range(0 if jordan else r + 1, m):
             if i == r:
                 continue
             row = w[i]
             f = row[c]
             if f:
-                row[c:] = [(p * x - f * y) // prev
-                           for x, y in zip(row[c:], top)]
+                row[lo:] = [(p * x - f * y) // prev
+                            for x, y in zip(row[lo:], top)]
             elif p != prev:
-                row[c:] = [p * x // prev for x in row[c:]]
+                row[lo:] = [p * x // prev for x in row[lo:]]
         prev = p
         pivots.append(c)
         r += 1
@@ -205,26 +210,6 @@ def _rank(a: list[list[int]]) -> int:
     """Rank of a list of integer row vectors."""
     rows = _int_rows(a)
     return len(_bareiss(rows, len(rows[0]) if rows else 0)[0])
-
-
-def _inverse(a) -> tuple[list[list[int]], int]:
-    """(X, p) with integer X, p > 0 and a^-1 = X / p, by Gauss-Jordan.
-
-    [A | I] is eliminated to [p I | X], and both change sign when the last
-    pivot p is negative.
-    """
-    rows = _int_rows(a)
-    m, n = _shape(rows)
-    if m != n:
-        raise ValueError("inverse of a non-square matrix")
-    w = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    pivots, p, _ = _bareiss(w, n, jordan=True)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
-    x = [row[n:] for row in w]
-    if p < 0:
-        x, p = [[-e for e in row] for row in x], -p
-    return x, p
 
 
 # ---------------------------------------------------------------------------
@@ -533,30 +518,19 @@ def _affine_reduce(pts: list[tuple[int, ...]]):
     denominators of the coordinates in the basis B.  A positive scale is an
     affine bijection, so it changes no placing, no visibility test and no
     primitive facet.  start indexes pts[0] and the points whose differences
-    from it are the rows of B.
+    from it are the rows of B: the pivot columns of one Gauss-Jordan
+    elimination of the differences pts[k] - pts[0] as columns, whose pivot
+    row i then holds q times coordinate i of every point, q the last pivot.
     """
-    origin, ambient = pts[0], len(pts[0])
-    basis: list[list[int]] = []
-    start = [0]
-    for i, p in enumerate(pts):
-        if len(basis) == ambient:
-            break
-        delta = [x - o for x, o in zip(p, origin)]
-        if any(delta) and _rank(basis + [delta]) > len(basis):
-            basis.append(delta)
-            start.append(i)
-    dim = len(basis)
-    if dim == 0:
-        return origin, basis, 1, [() for _ in pts], start
-    # c . B = p - origin read off dim independent columns J of B:
-    # c = M^-T (p - origin)[J] with M = B[:, J] and M^-T = X / q
-    cols = _bareiss([row[:] for row in basis], ambient)[0]
-    x, q = _inverse([[row[j] for row in basis] for j in cols])
-    x = SparseMap(x)
-    coords = [x @ [p[j] - origin[j] for j in cols] for p in pts]
+    origin = pts[0]
+    w = [[p[i] - o for p in pts] for i, o in enumerate(origin)]
+    cols, q, _ = _bareiss(w, len(pts), jordan=True)
+    coords = list(zip(*w[:len(cols)])) or [()] * len(pts)
     g = gcd(q, *[c for row in coords for c in row])
-    return ([q // g * o for o in origin], basis, q // g,
-            [tuple(c // g for c in row) for row in coords], start)
+    g = g if q > 0 else -g
+    return ([q // g * o for o in origin],
+            [[x - o for x, o in zip(pts[k], origin)] for k in cols], q // g,
+            [tuple(c // g for c in row) for row in coords], [0, *cols])
 
 
 def _placing(coords: list[tuple[int, ...]], start: list[int]):
@@ -580,9 +554,16 @@ def _placing(coords: list[tuple[int, ...]], start: list[int]):
     def hyperplane(face):
         pts = [coords[i] for i in face]
         w = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
-        # normal by cofactor expansion; the empty minor of dim 1 gives (1)
-        normal = [(-1) ** j * _det([row[:j] + row[j + 1:] for row in w])
-                  for j in range(dim)]
+        # w ends as p times its reduced row echelon form; the kernel vector
+        # with p at the one free column f is the cofactor normal, up to
+        # sign.  Below rank dim - 1 the normal stays zero: a flat simplex
+        cols, p, _ = _bareiss(w, dim, jordan=True)
+        normal = [0] * dim
+        if len(cols) == dim - 1:
+            f = min(set(range(dim)) - set(cols))
+            normal[f] = p
+            for c, row in zip(cols, w):
+                normal[c] = -row[f]
         offset = sum(map(mul, normal, pts[0]))
         side = sum(map(mul, normal, inner)) - (dim + 1) * offset
         if side == 0:
@@ -664,16 +645,19 @@ def convex_hull(points) -> RatPolytope:
         return RatPolytope(ambient, (point,), (), 0, point)
 
     simplices, boundary = _placing(coords, start)
-    red_facets = {(normal, offset) for normal, offset, _ in boundary.values()}
+    red_facets = sorted({(normal, offset)
+                         for normal, offset, _ in boundary.values()})
     # n . c >= off pulls back along scale x = origin + c . B: with the Gram
-    # matrix G = B B^T and G^-1 = Y / q, a = B^T Y n (Y is symmetric) has
-    # a . (scale x - origin) = q n . c
-    y, q = _inverse([[sum(map(mul, bi, bj)) for bj in basis] for bi in basis])
-    y, bt = SparseMap(y), SparseMap(list(zip(*basis)))
+    # matrix G = B B^T, [G | n_1 ... n_F] ends as [q I | q G^-1 n_1 ...],
+    # and a = B^T q G^-1 n has a . (scale x - origin) = q n . c
+    w = [[sum(map(mul, bi, bj)) for bj in basis] + [n[i] for n, _ in red_facets]
+         for i, bi in enumerate(basis)]
+    q = _bareiss(w, dim, jordan=True)[1]
+    bt = SparseMap(list(zip(*basis)))
     facets = set()
-    for normal, offset in red_facets:
-        amb = bt @ (y @ normal)
-        g = gcd(*amb)
+    for k, (normal, offset) in enumerate(red_facets):
+        amb = bt @ [row[dim + k] for row in w]
+        g = gcd(*amb) if q > 0 else -gcd(*amb)
         if g == 0:
             raise AssertionError("hull verification failed: zero facet normal")
         off = q * offset + sum(map(mul, amb, origin))

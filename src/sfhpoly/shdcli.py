@@ -502,6 +502,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file")
         p.add_argument("--class", dest="klass", required=True,
                        help="comma-separated rational coordinates")
+        # argparse reads a token starting with '-' as a value only where
+        # this matcher matches; its default takes -7 but not -7/3 or -1,2
+        p._negative_number_matcher = re.compile(r"-\.?\d")
 
     p = add_json(sub.add_parser("build"))
     p.add_argument("family", choices=["tpqn"])

@@ -18,12 +18,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import xor
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -32,14 +34,14 @@ from sympy import GF
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.matrices import DomainMatrix
 
-from sfhpoly import diagram, exactalg
+from sfhpoly import diagram, exactalg, polytope
 from sfhpoly.builders import build_tpqn, glue, stabilize
 from sfhpoly.exactalg import (
     EmptyInput,
     LinearSolver,
     SNFResult,
     SparseMap,
-    _inverse,
+    _bareiss,
     _rank,
     _verify_snf,
     body_centroid,
@@ -469,7 +471,7 @@ def test_rank_matches_sympy(a):
 
 def test_elimination_core_refuses_non_ints():
     half = [[Fraction(1, 2), 0], [0, 2]]
-    for fn in (exact_det, _rank, _inverse, smith_normal_form):
+    for fn in (exact_det, _rank, smith_normal_form):
         with pytest.raises(TypeError):
             fn(half)
     # neither a float with an integer value nor one without is truncated
@@ -479,7 +481,7 @@ def test_elimination_core_refuses_non_ints():
     assert half == [[Fraction(1, 2), 0], [0, 2]]
     # the core works on a copy of an integer matrix
     a = [[0, 1], [2, 3]]
-    assert exact_det(a) == -2 and _rank(a) == 2 and _inverse(a)[1] == 2
+    assert exact_det(a) == -2 and _rank(a) == 2
     assert a == [[0, 1], [2, 3]]
 
 
@@ -504,16 +506,49 @@ def test_unimodular_inverse_of_elementary_products(m, data):
         assert smith_normal_form(repeated).rank == n - 1
 
 
-@settings(max_examples=80, deadline=None)
-@given(square(4, entries))
-def test_inverse_matches_sympy(a):
-    if to_sympy(a).det() == 0:
-        with pytest.raises(ValueError):
-            _inverse(a)
-        return
-    x, p = _inverse(a)
-    assert p > 0 and all(type(e) is int for row in x for e in row)
-    assert to_sympy(a) * to_sympy(x) == p * sympy.eye(len(a))
+def echelon_products(rng, count):
+    """count seeded integer matrices L E: E is k x n in row echelon form
+    with random pivot columns and random entries right of each pivot, so
+    a free column often lies left of a later pivot; L is m x k."""
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        k = rng.randint(0, min(m, n))
+        cols = sorted(rng.sample(range(n), k))
+        e = [[0] * n for _ in range(k)]
+        for i, c in enumerate(cols):
+            e[i][c] = rng.choice((-3, -2, -1, 1, 2, 3))
+            for j in range(c + 1, n):
+                e[i][j] = rng.randint(-4, 4)
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+        yield [[sum(x * row[j] for x, row in zip(lrow, e)) for j in range(n)]
+               for lrow in left]
+
+
+def test_gauss_jordan_ends_at_last_pivot_times_rref():
+    """With jordan, the first rank rows are the last pivot times sympy's
+    reduced row echelon form, the rest are zero, and [A | B] with A
+    invertible ends as [p I | p A^-1 B]."""
+    rng = random.Random(1968)
+    gaps = 0
+    for a in echelon_products(rng, 400):
+        rref, want = to_sympy(a).rref()
+        w = [row[:] for row in a]
+        cols, p, _ = _bareiss(w, len(a[0]), jordan=True)
+        assert tuple(cols) == want
+        assert to_sympy(w) == p * rref
+        gaps += any(c not in cols for c in range(max(cols, default=0)))
+    assert gaps > 50
+    for _ in range(100):
+        n, extra = rng.randint(1, 5), rng.randint(0, 4)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        b = [[rng.randint(-5, 5) for _ in range(extra)] for _ in range(n)]
+        if to_sympy(a).det() == 0:
+            continue
+        w = [x + y for x, y in zip(a, b)]
+        cols, p, _ = _bareiss(w, n, jordan=True)
+        assert cols == list(range(n))
+        assert to_sympy(w) == p * sympy.eye(n).row_join(
+            to_sympy(a).inv() * sympy.Matrix(n, extra, sum(b, [])))
 
 
 # ---------------------------------------------------------------------------
@@ -912,11 +947,87 @@ def test_hull_is_affine_equivariant():
             lam * x + s for x, s in zip(body_centroid(poly), t))
 
 
+HULL_DIGEST_FILE = Path(__file__).resolve().parent / "hull_digests.json"
+
+
+def bench_hull_supports() -> dict:
+    """The support points of the 24 `hull` benchmark inputs, seed 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    hull = workloads.Hull(SimpleNamespace(polytope=polytope), 1, False, None)
+    return {inp.label: [pt for pt, _ in inp.support.points]
+            for inp in hull.inputs}
+
+
+def lower_dim_sweep(ambient: int) -> list[list[tuple[Fraction, ...]]]:
+    """30 seeded rational point sets in Q^ambient, each in an affine
+    subspace of dimension below ambient spanned by rational directions."""
+    rng = random.Random(2010 + ambient)
+
+    def rat():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 5)))
+
+    out = []
+    for _ in range(30):
+        k = rng.randint(0, ambient - 1)
+        origin = [rat() for _ in range(ambient)]
+        dirs = [[rat() for _ in range(ambient)] for _ in range(k)]
+        out.append([tuple(o + sum(c * d[j] for c, d in zip(cs, dirs))
+                          for j, o in enumerate(origin))
+                    for cs in ([rat() for _ in range(k)]
+                               for _ in range(rng.randint(k + 1, k + 8)))])
+    return out
+
+
+def admissibility_points(n: int, k: int) -> list[tuple[int, ...]]:
+    """The origin and the lattice basis's region columns of G(n, k), the
+    points whose hull `diagram.is_admissible` reads."""
+    basis = diagram.periodic_lattice(grid_knot(n, k)).basis
+    return [(0,) * len(basis), *zip(*basis)]
+
+
+HULL_SOURCES = {
+    **{f"bench hull seed 1: {label}": lambda pts=pts: [pts]
+       for label, pts in bench_hull_supports().items()},
+    **{f"dim < ambient {a}": lambda a=a: lower_dim_sweep(a)
+       for a in range(1, 7)},
+    **{f"admissibility G({n},{k})": lambda n=n, k=k: [admissibility_points(n, k)]
+       for n, k in ((6, 3), (8, 4), (10, 5))},
+}
+
+
+def hull_digest(point_sets) -> str:
+    """SHA-256 of the vertices, facets, dim and centroid of each hull."""
+    hulls = [convex_hull(pts) for pts in point_sets]
+    return hashlib.sha256(repr([(p.vertices, p.facets, p.dim, p.centroid)
+                                for p in hulls]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", HULL_SOURCES)
+def test_hull_outputs_are_pinned(name):
+    """Every hull output is pinned: vertices, facets, dim and centroid hash
+    to digests written by running this file as a script with the argument
+    `hull`, never regenerated to make a change pass."""
+    pinned = json.loads(HULL_DIGEST_FILE.read_text(encoding="utf-8"))
+    assert set(pinned) == set(HULL_SOURCES)
+    assert hull_digest(HULL_SOURCES[name]()) == pinned[name]
+
+
 def test_rectangular_check():
     with pytest.raises(ValueError):
         smith_normal_form([[1, 2], [3]])
 
 
 if __name__ == "__main__":
-    print(json.dumps({name: snf_digest(build())
-                      for name, build in SNF_SOURCES.items()}, indent=1))
+    # `python3 tests/test_exactalg.py` prints the Smith-form digests,
+    # `python3 tests/test_exactalg.py hull` the hull digests
+    if sys.argv[1:] == ["hull"]:
+        digests = {name: hull_digest(build())
+                   for name, build in HULL_SOURCES.items()}
+    else:
+        digests = {name: snf_digest(build())
+                   for name, build in SNF_SOURCES.items()}
+    print(json.dumps(digests, indent=1))

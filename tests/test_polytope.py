@@ -361,3 +361,42 @@ def test_cone_check_catches_a_faulty_placing(monkeypatch, support, fault):
     monkeypatch.setattr(exactalg, "_placing", faulty)
     with pytest.raises(AssertionError, match="cones from the centroid"):
         build_polytope(support)
+
+
+def _repeated_start_point(real, coords, start):
+    # the first simplex repeats its first point and drops its last: in the
+    # segment the repeated point's face has the barycentre on it (side 0),
+    # in the square that face has rank 0 and no normal
+    return real(coords, start[:1] + start[:-1])
+
+
+def _raised_offsets(real, coords, start):
+    simplices, boundary = real(coords, start)
+    return simplices, {face: (normal, offset + 1, content)
+                       for face, (normal, offset, content) in boundary.items()}
+
+
+def _no_simplices(real, coords, start):
+    return [], real(coords, start)[1]
+
+
+def _a_zero_normal(real, coords, start):
+    simplices, boundary = real(coords, start)
+    face, (normal, offset, content) = next(iter(boundary.items()))
+    return simplices, {**boundary, face: ((0,) * len(normal), offset, content)}
+
+
+@pytest.mark.parametrize("support, fault, message", [
+    (SEGMENT, _repeated_start_point, "flat boundary simplex"),
+    (SQUARE, _repeated_start_point, "flat boundary simplex"),
+    (SQUARE, _raised_offsets, "point outside facet"),
+    (SEGMENT, _no_simplices, "zero volume"),
+    (SQUARE, _a_zero_normal, "zero facet normal"),
+])
+def test_hull_checks_catch_a_faulty_placing(monkeypatch, support, fault,
+                                            message):
+    real = exactalg._placing
+    monkeypatch.setattr(exactalg, "_placing",
+                        lambda coords, start: fault(real, coords, start))
+    with pytest.raises(AssertionError, match=message):
+        build_polytope(support)

@@ -342,6 +342,26 @@ def test_polytope_report(tmp_path):
     assert data["ok"] is False and data["total_rank"] == 0
 
 
+@pytest.mark.parametrize("cmd", ["face", "norm"])
+@pytest.mark.parametrize("genus, value", [
+    (0, "-7/3"), (0, "-2"), (0, "-.5"), (1, "-1,2,0"), (1, "-7/3,0,-1")])
+def test_class_values_starting_with_a_minus(tmp_path, cmd, genus, value):
+    """`--class V` with V starting with '-' prints the same bytes as
+    `--class=V`; a missing value and a wrong coordinate count exit 2."""
+    # genus 1 on one region adds two free H1 generators: b1 = 3
+    f = tmp_path / "t.shd"
+    f.write_text(emit_shd(build_tpqn(1, 0, 6)).replace(
+        "genus 0", f"genus {genus}", 1))
+    for flag in ([], ["--json"]):
+        joined = run(flag + [cmd, str(f), f"--class={value}"])
+        assert joined[0] == 0, joined[1]
+        assert run(flag + [cmd, str(f), "--class", value]) == joined
+    assert run([cmd, str(f), "--class"])[0] == 2
+    assert run([cmd, str(f), "--class", "--json"])[0] == 2
+    rc, text = run([cmd, str(f), "--class", "-1,2" if genus else "-1,2,0"])
+    assert rc == 2 and text.startswith("parse error: --class needs ")
+
+
 def test_polytope_beyond_eight_dimensions(tmp_path):
     # genus 5 on one region adds ten free H1 generators, so b1 = 11
     f = tmp_path / "high.shd"
