@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul, sub
 
-from .exactalg import (LinearSolver, SparseMap, convex_hull,
+from .exactalg import (LinearSolver, SparseMap, _add, convex_hull,
                        smith_normal_form)
 
 
@@ -538,27 +538,24 @@ class _CycleCoords:
     """Coordinates of curve-graph cycles in the fixed cycle basis B.
 
     B is V[:, r:] for the Smith form U bd V = D of the curve-graph
-    boundary map bd, of rank r.  A cycle z = B x has V^-1 z = (0, x), so
-    x = V^-1[r:] z are its coordinates.  A chain z that is not a cycle
-    fails the substitution check B x = z.  B and V^-1[r:] are sparse maps.
+    boundary map bd, of rank r, which contracts a spanning forest: V^-1[r:]
+    selects the chain positions N off the forest, and column k of B is the
+    fundamental cycle of N[k].  A cycle z = B x has x = z on N.  A chain z
+    that is not a cycle fails the substitution check B x = z.
     """
 
-    arc_pos: dict
-    circle_pos: dict
+    chain_pos: dict                         # (curve, arc) or circle id
     basis: SparseMap                        # B, one row per chain position
-    coords: SparseMap                       # V^-1[r:]
+    free: tuple[int, ...]                   # N, V^-1[r:] as a selection
 
     def read_off(self, chain: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(x, B x - z) for a 1-chain z {(curve, arc) or circle id -> mult},
-        x = V^-1[r:] z; both are linear in z, and the residual B x - z is
-        zero exactly when z is a cycle."""
+        x = z on N; both are linear in z, and the residual B x - z is zero
+        exactly when z is a cycle."""
         z = [0] * self.basis.m
         for key, mult in chain.items():
-            pos = self.arc_pos.get(key)
-            if pos is None:
-                pos = self.circle_pos[key]
-            z[pos] += mult
-        x = self.coords @ z
+            z[self.chain_pos[key]] += mult
+        x = tuple(z[i] for i in self.free)
         return x, tuple(map(sub, self.basis @ x, z))
 
 
@@ -569,14 +566,15 @@ class H1Presentation:
     Generators: a saturated basis B of the cycle space of the curve graph
     together with the boundary circles, plus two free generators per unit
     of region genus.  Relations: each region's total boundary, and the
-    class of each full curve.  Cycle coordinates are read off through V^-1
-    of the boundary map's Smith form, the same form whose V gives B, and
+    class of each full curve.  B is the fundamental cycles of a spanning
+    forest, so a cycle's coordinates are its entries off the forest, and
     every read-off x must satisfy B x = z.  The normalizer reduces any
     generator-coords vector to a canonical coset representative via the
-    relation SNF: w = v V is reduced modulo the diagonal and mapped back by
-    V^-1.  Only the coordinates of w whose diagonal entry is not 1 survive
-    the reduction, so V keeps just those columns (w is then v's image) and
-    V^-1 just those rows, both transposed into sparse maps.
+    relation SNF, taken on the cycle columns (V and V^-1 are the identity
+    on the handles): w = v V is reduced modulo the diagonal and mapped back
+    by V^-1.  Only the coordinates of w whose diagonal entry is not 1
+    survive the reduction, so V keeps just those columns (w is then v's
+    image) and V^-1 just those rows, both transposed into sparse maps.
     """
 
     generator_count: int
@@ -631,32 +629,69 @@ def h1_presentation(d: Diagram) -> H1Presentation:
     return diagram_index(d).h1
 
 
+def _cycle_coords(s: _Scan) -> _CycleCoords:
+    """The cycle basis of smith_normal_form(bd), without taking the form.
+
+    On bd every entry stays 0 or +-1 and every pivot is a unit, so the
+    form takes the first row with an arc left, its arc in the least current
+    column position, and adds the row to that of the arc's other end: it
+    contracts a spanning forest.  Its column operations, mirrored on V,
+    make V[:, r:] the fundamental cycles of the positions N off the forest,
+    and V^-1[r:] selects N.  Certified apart from the contraction: B has
+    zero boundary and is the identity on N, so it spans a saturated
+    lattice, of rank n - (P - c), c the curve graph's components.
+    """
+    def find(parent: list[int], x: int) -> int:     # union-find root
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    d = s.d
+    arcs = [(c.name, k) for c in d.curves for k in range(len(c.points))]
+    row_of = {p: i for i, p in enumerate(s.points)}
+    ends = [tuple(row_of[p] for p in s.curve_by_name[c].arc_ends(k))
+            for c, k in arcs]
+    m, n = len(s.points), len(arcs) + len(d.boundary_circles)
+    rows: list[dict] = [{} for _ in range(m)]
+    for a, (u, v) in enumerate(ends):
+        if u != v:
+            rows[v][a], rows[u][a] = 1, -1
+    at, pos, cls, t = list(range(n)), list(range(n)), list(range(m)), 0
+    cols = [{a: 1} for a in range(n)]
+    for p, row in enumerate(rows):
+        if row:
+            a, moved = min(row, key=pos.__getitem__), at[t]
+            at[t], at[pos[a]], pos[moved], pos[a] = a, moved, pos[a], t
+            # merge row p into the row of a's other end
+            k = cls[p] = find(cls, ends[a][row[a] < 0])
+            for b, x in row.items():
+                if b != a:
+                    _add(cols[b], -x * row[a], cols[a])
+                if rows[k].pop(b, None) is None:
+                    rows[k][b] = x
+            t += 1
+    free, comp = at[t:], list(range(m))
+    for u, v in ends:
+        comp[find(comp, u)] = find(comp, v)
+    bd = SparseMap.by_columns([{v: 1, u: -1} if u != v else {}
+                               for u, v in ends] + [{}] * (n - len(ends)), m)
+    on_free, cols = set(free), [cols[e] for e in free]
+    if (len(free) != n - m + sum(i == x for i, x in enumerate(comp))
+            or any(any(bd @ col) for col in cols)
+            or any({a: x for a, x in col.items() if a in on_free} != {e: 1}
+                   for e, col in zip(free, cols))):
+        raise AssertionError("cycle basis verification failed")
+    return _CycleCoords({key: i for i, key in
+                         enumerate(arcs + list(d.boundary_circles))},
+                        SparseMap.by_columns(cols, n), tuple(free))
+
+
 def _h1_presentation(s: _Scan) -> H1Presentation:
     d = s.d
     if len(s.components) != 1:
         raise Disconnected(f"{len(s.components)} components")
-
-    arcs = [(c.name, k) for c in d.curves for k in range(len(c.points))]
-    arc_pos = {a: i for i, a in enumerate(arcs)}
-    circle_pos = {cid: len(arcs) + i
-                  for i, cid in enumerate(d.boundary_circles)}
-    n = len(arcs) + len(d.boundary_circles)
-    point_row = {p: i for i, p in enumerate(s.points)}
-
-    # with no points, one zero row keeps the n columns of the map
-    bd = [[0] * n for _ in s.points] or [[0] * n]
-    for ai, (cname, k) in enumerate(arcs):
-        start, end = s.curve_by_name[cname].arc_ends(k)
-        bd[point_row[end]][ai] += 1
-        bd[point_row[start]][ai] -= 1
-    solver = LinearSolver(bd)
-    cycle_rank = len(solver.kernel_basis())
-    snf, r = solver.snf, solver.rank
-    cycles = _CycleCoords(arc_pos, circle_pos,
-                          SparseMap.by_columns(
-                              [dict(col) for col in snf.v_map.cols[r:]], n),
-                          SparseMap(snf.vinv_rows[r:], n))
-
+    cycles = _cycle_coords(s)
+    cycle_rank = len(cycles.free)
     handles = sum(2 * r.genus for r in d.regions)
     gen_count = cycle_rank + handles
 
@@ -664,7 +699,7 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
         x, residual = cycles.read_off(chain)
         if any(residual):
             raise AssertionError("region/curve relation is not a cycle")
-        return x + (0,) * handles
+        return x
 
     relations = []
     for r in d.regions:
@@ -681,14 +716,16 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
         chain = {(c.name, k): 1 for k in range(len(c.points))}
         relations.append(list(coords_of(chain)))
 
-    if not relations and gen_count:
-        relations = [[0] * gen_count]
     if gen_count == 0:
         return H1Presentation(0, (), 0, (), cycles, SparseMap([]),
                               SparseMap([]), ())
 
-    snf = smith_normal_form(relations)
+    # no relation meets a handle generator: V and V^-1 are 1 there, D is 0
+    snf = smith_normal_form(relations or [[0] * cycle_rank])
     diag = list(snf.diagonal) + [0] * (gen_count - len(snf.diagonal))
+    eye = [{i: 1} for i in range(cycle_rank, gen_count)]
+    v_cols = [dict(col) for col in snf.v_map.cols] + eye
+    vinv_rows = list(snf.vinv_rows) + eye
     kept = [i for i, x in enumerate(diag) if x != 1]
     return H1Presentation(
         generator_count=gen_count,
@@ -696,8 +733,7 @@ def _h1_presentation(s: _Scan) -> H1Presentation:
         b1=diag.count(0),
         torsion=tuple(x for x in diag if x > 1),
         _cycles=cycles,
-        _v=SparseMap([dict(snf.v_map.cols[i]) for i in kept], gen_count),
-        _vinv=SparseMap.by_columns([snf.vinv_rows[i] for i in kept],
-                                   gen_count),
+        _v=SparseMap([v_cols[i] for i in kept], gen_count),
+        _vinv=SparseMap.by_columns([vinv_rows[i] for i in kept], gen_count),
         _diag=tuple(diag[i] for i in kept),
     )

@@ -663,10 +663,12 @@ def convex_hull(points) -> RatPolytope:
         off = q * offset + sum(map(mul, amb, origin))
         facets.add((tuple(x // g for x in amb), Fraction(off, scale * g)))
     facets = sorted(facets)
+    # a vertex is in some boundary simplex, and tight on dim independent facets
+    on_boundary = set().union(*boundary)
     vertices = tuple(tuple(Fraction(x, d) for x in pts[i])
-                     for i, c in enumerate(coords)
-                     if _rank([n for n, off in red_facets
-                               if sum(map(mul, n, c)) == off]) == dim)
+                     for i, c in enumerate(coords) if i in on_boundary
+                     and _rank([n for n, off in red_facets
+                                if sum(map(mul, n, c)) == off]) == dim)
 
     for normal, offset in facets:
         # normal . x >= offset for x = p / d

@@ -24,6 +24,23 @@ def with_genus(d: Diagram, genus: int) -> Diagram:
     return dataclasses.replace(d, regions=(first,) + d.regions[1:])
 
 
+def curve_graph_boundary(d: Diagram) -> list[list[int]]:
+    """The boundary map bd of H1's curve graph: a row per point of the
+    prepared context, a column per arc, curve by curve, then per boundary
+    circle (a zero column); one zero row when there are no points.  The
+    diagram need not be valid."""
+    s = d._scan
+    arcs = [(c, k) for c in d.curves for k in range(len(c.points))]
+    n = len(arcs) + len(d.boundary_circles)
+    row = {p: i for i, p in enumerate(s.points)}
+    bd = [[0] * n for _ in s.points] or [[0] * n]
+    for j, (c, k) in enumerate(arcs):
+        start, end = c.arc_ends(k)
+        bd[row[end]][j] += 1
+        bd[row[start]][j] -= 1
+    return bd
+
+
 def two_core_curves() -> tuple[Curve, Curve]:
     """One alpha and one beta meeting at u and v."""
     return (Curve("alpha", "a", ("u", "v")),

@@ -9,7 +9,10 @@ so each fixture's b1/torsion below was derived independently of the code.
 
 from __future__ import annotations
 
+import inspect
+import json
 import random
+import textwrap
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -37,7 +40,8 @@ from sfhpoly.builders import (build_base, build_elementary_piece, build_tpqn,
                               glue)
 from sfhpoly.exactalg import LinearSolver, integer_kernel_basis, \
     smith_normal_form
-from conftest import grid_knot, seg, torus_grid, with_genus
+from conftest import curve_graph_boundary, grid_knot, seg, torus_grid, \
+    with_genus
 
 
 def region_by_name(d: Diagram, name: str) -> Region:
@@ -361,14 +365,18 @@ def torsion_pair():
 def test_h1_normalizer_properties(grid_diag, annulus_isotopic):
     rng = random.Random(9)
     assert h1_presentation(torsion_pair()).torsion == (2,)
-    for d in (grid_diag, annulus_isotopic, torsion_pair()):
+    # region genus adds handle generators that no relation meets: the
+    # relations are over the cycle coordinates only, and padded here
+    for d in (grid_diag, annulus_isotopic, torsion_pair(),
+              with_genus(torsion_pair(), 2)):
         h1 = h1_presentation(d)
         rows = h1.relation_matrix
+        pad = (0,) * (h1.generator_count - len(rows[0]))
         for _ in range(25):
             v = tuple(rng.randint(-4, 4) for _ in range(h1.generator_count))
             nv = h1.normalize(v)
             assert h1.normalize(nv) == nv
-            row = rows[rng.randrange(len(rows))]
+            row = rows[rng.randrange(len(rows))] + pad
             shifted = tuple(x + y for x, y in zip(v, row))
             assert h1.normalize(shifted) == nv
             assert h1.free_part(shifted) == h1.free_part(v)
@@ -390,6 +398,9 @@ def test_h1_of_a_high_genus_region_stays_small():
         tracemalloc.stop()
     assert (h1.b1, h1.torsion) == (1 + 2 * 1000, ())
     assert peak < 16 * 2**20
+    # the relation form is taken on the cycle coordinates only
+    assert {len(row) for row in h1.relation_matrix} \
+        == {h1.generator_count - 2 * 1000}
 
 
 def test_h1_disconnected():
@@ -422,16 +433,7 @@ def _chain_positions(d: Diagram) -> list:
 
 def _cycle_basis(d: Diagram) -> list[tuple[int, ...]]:
     """The saturated kernel basis of the curve-graph boundary map."""
-    s = diagram_index(d)
-    keys = _chain_positions(d)
-    bd = [[0] * len(keys) for _ in s.points]
-    row = {p: i for i, p in enumerate(s.points)}
-    for j, key in enumerate(keys):
-        if isinstance(key, tuple):
-            start, end = s.curve_by_name[key[0]].arc_ends(key[1])
-            bd[row[end]][j] += 1
-            bd[row[start]][j] -= 1
-    return integer_kernel_basis(bd)
+    return integer_kernel_basis(curve_graph_boundary(d))
 
 
 # the property pool and a glued diagram with torsion in H1
@@ -440,9 +442,9 @@ CHAIN_POOL = {**PROPERTY_POOL, "torsion_pair": torsion_pair}
 
 @pytest.mark.parametrize("name", CHAIN_POOL)
 def test_chain_coords_read_off_matches_solver(name):
-    """Coordinates of random cycles read off through V^-1 of the boundary
-    map's Smith form equal their coefficients in the cycle basis, and a
-    solve against that basis agrees."""
+    """Coordinates of random cycles read off the spanning forest equal
+    their coefficients in the kernel basis of the boundary map's Smith
+    form, and a solve against that basis agrees."""
     d = CHAIN_POOL[name]()
     h1 = h1_presentation(d)
     keys = _chain_positions(d)
@@ -466,3 +468,105 @@ def test_chain_coords_rejects_a_non_cycle(name):
     c = next(c for c in d.curves if len(c.points) > 1)
     with pytest.raises(ValueError, match="not a cycle"):
         h1_presentation(d).chain_coords({(c.name, 0): 1})
+
+
+# ---------------------------------------------------------------------------
+# the cycle basis: a contraction of the boundary map, against its Smith form
+
+
+def _shuffled(build, seed: str):
+    """build, with the rows of bd, the points of its context, shuffled."""
+    def shuffled():
+        d = build()
+        random.Random(seed).shuffle(diagram_index(d).points)
+        return d
+    return shuffled
+
+
+def _oracle_families() -> dict:
+    from test_exactalg import many_small
+    from test_golden_outputs import DIAGRAMS
+    grids = {f"G({n},{k})": lambda n=n, k=k: grid_knot(n, k)
+             for n in range(3, 8) for k in range(1, n)}
+    return {"property pool": PROPERTY_POOL, "golden family": DIAGRAMS,
+            "many_small": many_small(), "grids": grids,
+            "many_small, points shuffled": {
+                name: _shuffled(build, name)
+                for name, build in many_small().items()}}
+
+
+def _is_the_boundary_form(cycle_coords, d: Diagram) -> bool:
+    """The contraction's (B, N) equal (V[:, r:], V^-1[r:]) of the Smith
+    form of the curve-graph boundary bd."""
+    snf = smith_normal_form(curve_graph_boundary(d))
+    cycles = cycle_coords(diagram_index(d))
+    return ([dict(col) for col in cycles.basis.cols]
+            == [dict(col) for col in snf.v_map.cols[snf.rank:]]
+            and [{e: 1} for e in cycles.free]
+            == list(snf.vinv_rows[snf.rank:]))
+
+
+@pytest.mark.parametrize("family", [
+    "property pool", "golden family", "many_small", "grids",
+    "many_small, points shuffled"])
+def test_cycle_basis_is_the_boundary_smith_form(family):
+    for name, build in _oracle_families()[family].items():
+        assert _is_the_boundary_form(diagram._cycle_coords, build()), name
+
+
+def _mutant_cycle_coords(old: str, new: str):
+    """diagram._cycle_coords with the one occurrence of old replaced."""
+    src = textwrap.dedent(inspect.getsource(diagram._cycle_coords))
+    assert src.count(old) == 1
+    namespace = dict(vars(diagram))
+    exec(src.replace(old, new), namespace)
+    return namespace["_cycle_coords"]
+
+
+# (old, new, message): a fault with a message must raise it from the
+# certificate; one without leaves a valid basis that only the oracle sees.
+# With the points in the order of the scan, the least original index has
+# always been the least position, so that fault is sought on shuffled rows
+CYCLE_FAULTS = {
+    "least original index, not least position": (
+        "min(row, key=pos.__getitem__)", "min(row)", None),
+    "one tree-path sign flipped": (
+        "    on_free, cols = set(free), [cols[e] for e in free]\n",
+        "    on_free, cols = set(free), [cols[e] for e in free]\n"
+        "    for col in [col for col in cols if len(col) > 1][:1]:\n"
+        "        a = min(a for a in col if a not in on_free)\n"
+        "        col[a] = -col[a]\n",
+        "cycle basis verification failed"),
+    "one arc dropped from the forest": (
+        "free, comp = at[t:]", "free, comp = at[t - 1:]",
+        "cycle basis verification failed"),
+}
+
+
+@pytest.mark.parametrize("fault", CYCLE_FAULTS)
+def test_cycle_basis_fault_is_caught(fault):
+    old, new, message = CYCLE_FAULTS[fault]
+    faulty = _mutant_cycle_coords(old, new)
+    families = _oracle_families()
+    pool = families["many_small"].values()
+    if message is None:
+        pool = families["many_small, points shuffled"].values()
+        assert not all(_is_the_boundary_form(faulty, build())
+                       for build in pool)
+    else:
+        with pytest.raises(AssertionError, match=message):
+            for build in pool:
+                faulty(diagram_index(build()))
+
+
+def test_golden_outputs_catch_the_cycle_order(monkeypatch, tmp_path):
+    """The same forest with its off-forest arcs in sorted order is a valid
+    basis, but it flips the sign of the free coordinate on these two."""
+    from test_golden_outputs import DIAGRAMS, GOLDEN_FILE, digests
+    golden = json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
+    monkeypatch.setattr(diagram, "_cycle_coords", _mutant_cycle_coords(
+        "free, comp = at[t:]", "free, comp = sorted(at[t:])"))
+    for name in ("T(7,4;6)", "glue(T(1,0;4),e0_s2,T(2,1;4),e0_s2)"):
+        out = digests(DIAGRAMS[name], tmp_path)
+        assert out["validate"] == golden[name]["validate"]
+        assert out["compute"] != golden[name]["compute"]

@@ -53,7 +53,7 @@ from sfhpoly.exactalg import (
 )
 from sfhpoly.floer import homology
 
-from conftest import grid_knot
+from conftest import curve_graph_boundary, grid_knot
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +363,25 @@ def snf_corpus() -> list[list[list[int]]]:
 
 
 def structured(d) -> None:
-    """Make a diagram's curve-graph boundary, relation and jump forms."""
+    """Make a diagram's relation and jump forms."""
     s = diagram.diagram_index(d)
     s.h1, s.jump
 
 
 def diagram_forms(build, run=homology) -> list[SNFResult]:
-    """The Smith forms that run (homology by default) makes on one
-    diagram, in order."""
-    forms, real = [], exactalg.smith_normal_form
+    """The form of one diagram's curve-graph boundary bd, whose cycle
+    basis H1 reads off a contraction instead, then the Smith forms that
+    run (homology by default) makes on it, in order."""
+    d = build()
+    forms, real = [smith_normal_form(curve_graph_boundary(d))], \
+        exactalg.smith_normal_form
 
     def recorded(a):
         forms.append(real(a))
         return forms[-1]
     exactalg.smith_normal_form = diagram.smith_normal_form = recorded
     try:
-        run(build())
+        run(d)
     finally:
         exactalg.smith_normal_form = diagram.smith_normal_form = real
     return forms

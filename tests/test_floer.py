@@ -843,14 +843,16 @@ def test_smith_forms_per_diagram_do_not_grow(monkeypatch):
         solver = diagram_index(d).jump[1]
         assert any(a_map is solver.a_map and u is solver._u
                    and v is solver._v for a_map, u, v in checked)
-    # the kernel of the curve-graph boundary, the relation matrix of H1
-    # and the jump system; cycle coordinates come from the boundary form's
-    # V^-1, and each form certifies U and V by their tracked inverses, so
-    # no determinant and no other inverse is taken.  Each form builds the
-    # maps of A, U and V, which its certificate checks and the two solvers
-    # reuse, and H1 builds four more: 13 in all
+    # the relation matrix of H1 and the jump system: the curve-graph
+    # boundary takes no form, its cycle basis is the spanning forest that
+    # the form would contract.  Each form certifies U and V by their
+    # tracked inverses, so no determinant and no other inverse is taken.
+    # Each form builds the maps of A, U and V, which its certificate checks
+    # and the jump solver reuses, and H1 builds four more (the boundary for
+    # the cycle basis's certificate, the basis, and the normalizer's V and
+    # V^-1): 10 in all
     assert [(c["smith_normal_form"], c["exact_det"], c["SparseMap"])
-            for c in counts] == [(3, 0, 13)] * 2
+            for c in counts] == [(2, 0, 10)] * 2
 
 
 def test_homology_makes_no_solve_per_generator(monkeypatch):

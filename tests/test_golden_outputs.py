@@ -13,6 +13,8 @@ the earlier entries left as they are.
 `text_digests.json` pins the plain-text reports the same way on a subset
 (rationals in `norm`, torsion, and the exit-3 diagram G(4,2)); it was
 written by `PYTHONPATH=src python3 tests/test_golden_outputs.py --text`.
+`genus_digests.json` pins both formats of one diagram with region genus,
+written by `PYTHONPATH=src python3 tests/test_golden_outputs.py --genus`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from sfhpoly.shdcli import emit_shd, run_command
 HERE = Path(__file__).resolve().parent
 if str(HERE) not in sys.path:
     sys.path.insert(0, str(HERE))
-from conftest import grid_knot  # noqa: E402
+from conftest import grid_knot, with_genus  # noqa: E402
 
 DIAGRAMS = {
     f"T({p},{q};{n})": (lambda p=p, q=q, n=n: build_tpqn(p, q, n))
@@ -54,9 +56,14 @@ DIAGRAMS.update({
         ((2, 1, 4, "s0"), (2, 1, 4, "s0")),
         ((3, 1, 4, "s0"), (3, 1, 4, "s0")),
         ((1, 0, 4, "e0_s2"), (3, 1, 4, "s0")),
-        ((5, 2, 4, "s0"), (3, 2, 2, "s1")))})
+        ((5, 2, 4, "s0"), (3, 2, 2, "s1")),
+        ((1, 0, 4, "e0_s2"), (2, 1, 4, "e0_s2")))})
 DIAGRAMS["stabilize(T(1,0;6),e1_r3)"] = \
     lambda: stabilize(build_tpqn(1, 0, 6), "e1_r3")
+# the H1 cycle basis orders its free coordinates as the curve-graph
+# boundary's Smith form does; in another order the sign of the free
+# coordinate flips on these two
+DIAGRAMS["T(7,4;6)"] = lambda: build_tpqn(7, 4, 6)
 
 COMMANDS = {
     "validate": ["validate"],
@@ -77,18 +84,35 @@ TEXT_DIAGRAMS = ("T(1,0;4)", "T(2,1;4)", "T(1,0;8)", "G(3,1)", "G(4,2)",
 TEXT_FILE = HERE / "text_digests.json"
 
 
+def genus_diagram():
+    """Region genus 2 on a diagram with torsion, H1 = Z^5 + Z/2: four
+    handle generators that no relation meets."""
+    return with_genus(
+        glue(build_tpqn(2, 1, 2), "s0", build_tpqn(2, 1, 2), "s0"), 2)
+
+
+# queried with classes of its length, in both output formats
+GENUS_COMMANDS = {
+    **{k: COMMANDS[k] for k in ("validate", "compute", "polytope", "depth")},
+    "norm --class 3/2,0,1,0,-1": ["norm", "--class", "3/2,0,1,0,-1"],
+    "face --class 1,0,0,2,0": ["face", "--class", "1,0,0,2,0"],
+}
+GENUS_FILE = HERE / "genus_digests.json"
+FORMATS = {"json": ("--json",), "text": ()}
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
     return json.loads(GOLDEN_FILE.read_text(encoding="utf-8"))
 
 
-def digests(name: str, workdir: Path,
-            flags: tuple[str, ...] = ("--json",)) -> dict[str, list]:
+def digests(build, workdir: Path, flags: tuple[str, ...] = ("--json",),
+            commands: dict = COMMANDS) -> dict[str, list]:
     """[sha256 of stdout, exit code] per command on one emitted diagram."""
     path = workdir / "diagram.shd"
-    path.write_text(emit_shd(DIAGRAMS[name]()), encoding="utf-8")
+    path.write_text(emit_shd(build()), encoding="utf-8")
     out = {}
-    for label, argv in COMMANDS.items():
+    for label, argv in commands.items():
         buf = io.StringIO()
         rc = run_command([*flags, argv[0], str(path), *argv[1:]], buf)
         out[label] = [hashlib.sha256(buf.getvalue().encode()).hexdigest(), rc]
@@ -96,25 +120,38 @@ def digests(name: str, workdir: Path,
 
 
 def test_golden_table_covers_the_family(golden):
-    assert set(golden) == set(DIAGRAMS) and len(DIAGRAMS) == 45
+    assert set(golden) == set(DIAGRAMS) and len(DIAGRAMS) == 47
     assert all(set(v) == set(COMMANDS) for v in golden.values())
 
 
 @pytest.mark.parametrize("name", DIAGRAMS)
 def test_json_output_is_byte_identical(name, tmp_path, golden):
-    assert digests(name, tmp_path) == golden[name]
+    assert digests(DIAGRAMS[name], tmp_path) == golden[name]
 
 
 @pytest.mark.parametrize("name", TEXT_DIAGRAMS)
 def test_text_output_is_byte_identical(name, tmp_path):
     pinned = json.loads(TEXT_FILE.read_text(encoding="utf-8"))
     assert set(pinned) == set(TEXT_DIAGRAMS)
-    assert digests(name, tmp_path, ()) == pinned[name]
+    assert digests(DIAGRAMS[name], tmp_path, ()) == pinned[name]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_genus_output_is_byte_identical(fmt, tmp_path):
+    pinned = json.loads(GENUS_FILE.read_text(encoding="utf-8"))
+    assert digests(genus_diagram, tmp_path, FORMATS[fmt], GENUS_COMMANDS) \
+        == pinned[fmt]
 
 
 if __name__ == "__main__":
     text = sys.argv[1:] == ["--text"]
     with tempfile.TemporaryDirectory() as tmp:
-        table = {name: digests(name, Path(tmp), () if text else ("--json",))
-                 for name in (TEXT_DIAGRAMS if text else DIAGRAMS)}
+        if sys.argv[1:] == ["--genus"]:
+            table = {fmt: digests(genus_diagram, Path(tmp), flags,
+                                  GENUS_COMMANDS)
+                     for fmt, flags in FORMATS.items()}
+        else:
+            table = {name: digests(DIAGRAMS[name], Path(tmp),
+                                   () if text else ("--json",))
+                     for name in (TEXT_DIAGRAMS if text else DIAGRAMS)}
     print(json.dumps(table, indent=1, sort_keys=True))
